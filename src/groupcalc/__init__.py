@@ -70,6 +70,7 @@ from .spectral import (
     CallablePotential,
     TabulatedPotential,
     Spectrum,
+    Tridiagonal,
     WaveFunction,
     commutator_check,
     cross_check_well,

@@ -7,6 +7,7 @@ place (``--tol name=value``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -51,6 +52,7 @@ def parse_tolerance_overrides(pairs, base: Tolerances = DEFAULT_TOLERANCES) -> T
             updates[name] = int(raw)
         else:
             updates[name] = float(raw)
-        if not isinstance(updates[name], str) and updates[name] <= 0:
-            raise ValueError(f"tolerance {name} must be positive, got {raw!r}")
+        value = updates[name]
+        if not isinstance(value, str) and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"tolerance {name} must be positive and finite, got {raw!r}")
     return base.replace(**updates)

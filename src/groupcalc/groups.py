@@ -493,24 +493,30 @@ def parse_class_spec(spec: str) -> GroupClass:
                 raise ValueError(f"bad class spec {spec!r}: expected key=value, got {item!r}")
             kv[key.strip()] = raw.strip()
 
+    def number(key: str) -> float:
+        value = float(kv.pop(key))
+        if not math.isfinite(value):
+            raise ValueError(f"class spec {spec!r}: {key} must be finite, got {value!r}")
+        return value
+
     try:
         if name == "bg":
             if kv:
                 raise ValueError(f"bg takes no parameters, got {spec!r}")
             return BG
         if name == "tsallis":
-            return tsallis(float(kv.pop("q")))
+            return tsallis(number("q"))
         if name == "kaniadakis":
             key = "k" if "k" in kv else "kappa"
-            return kaniadakis(float(kv.pop(key)))
+            return kaniadakis(number(key))
         if name == "abe":
-            return abe(float(kv.pop("a")), float(kv.pop("b")))
+            return abe(number("a"), number("b"))
         if name == "series":
             order = int(kv.pop("order")) if "order" in kv else None
             coeffs = []
             k = 1
             while f"a{k}" in kv:
-                coeffs.append(float(kv.pop(f"a{k}")))
+                coeffs.append(number(f"a{k}"))
                 k += 1
             if kv:
                 raise ValueError(f"unrecognized series parameters {sorted(kv)} in {spec!r}")

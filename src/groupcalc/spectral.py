@@ -10,10 +10,13 @@ Two equivalent formulations of the same eigenproblem are assembled:
 * ``hamiltonian_gspace``: constant-mass operator on a grid in the deformed
   coordinate u = G^{-1}(x), a plain Dirichlet Laplacian plus V(G(u)).
 
-``solve_eigen`` extracts the lowest eigenpairs with LAPACK bisection on Sturm
-sequences plus inverse iteration, refining each pair with one extended
-precision inverse-iteration step.  Non-symmetric tridiagonal input is first
-reduced to a symmetric matrix by an exact diagonal similarity (the discrete
+Every operator here (the Hamiltonians and the momentum stencil) is held as a
+:class:`Tridiagonal` record of its three bands, ``diag``, ``upper`` and
+``lower``; no N x N array is ever built.  ``solve_eigen`` takes that record
+and extracts the lowest eigenpairs with LAPACK bisection on Sturm sequences
+plus inverse iteration, refining each pair with one extended precision
+inverse-iteration step.  Non-symmetric bands are first reduced to a
+symmetric tridiagonal matrix by an exact diagonal similarity (the discrete
 counterpart of the sqrt(A) wavefunction rescaling, which itself is exposed as
 :func:`transform_state`).
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -33,6 +36,22 @@ from .groups import GroupClass
 
 SPACE_X = "x"
 SPACE_G = "g"
+
+
+class Tridiagonal(NamedTuple):
+    """Tridiagonal operator M as its bands: ``diag[i] = M[i, i]``,
+    ``upper[i] = M[i, i + 1]`` and ``lower[i] = M[i + 1, i]``."""
+
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M @ x."""
+        y = self.diag * x
+        y[:-1] += self.upper * x[1:]
+        y[1:] += self.lower * x[:-1]
+        return y
 
 
 @dataclass(frozen=True)
@@ -145,29 +164,25 @@ class TabulatedPotential:
 # ---------------------------------------------------------------------------
 
 
-def _diff_matrix(grid: Grid) -> np.ndarray:
+def _diff_matrix(grid: Grid) -> Tridiagonal:
     """Centered first-derivative stencil; one-sided on the boundary rows."""
     n, h = grid.n_points, grid.spacing
-    p = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    p[idx, idx + 1] = 0.5 / h
-    p[idx, idx - 1] = -0.5 / h
-    p[0, 0], p[0, 1] = -1.0 / h, 1.0 / h
-    p[-1, -2], p[-1, -1] = -1.0 / h, 1.0 / h
-    return p
+    diag = np.zeros(n)
+    upper = np.full(n - 1, 0.5 / h)
+    lower = np.full(n - 1, -0.5 / h)
+    diag[0], upper[0] = -1.0 / h, 1.0 / h
+    lower[-1], diag[-1] = -1.0 / h, 1.0 / h
+    return Tridiagonal(diag, upper, lower)
 
 
-def momentum_matrix(cls: GroupClass, grid: Grid, form: str = "symmetric") -> np.ndarray:
-    """Real stencil matrix K of the deformed momentum, p_g = -i hbar K.
+def momentum_matrix(cls: GroupClass, grid: Grid) -> Tridiagonal:
+    """Real stencil K of the deformed momentum, p_g = -i hbar K.
 
-    ``form="symmetric"`` assembles the symmetrized product (A K0 + K0 A)/2
-    with K0 the centered-difference derivative; ``form="gradient"`` assembles
-    the equivalent A K0 + [K0, A]/2, where the multiplier A' is realized by
-    the same discrete commutator so the two routes agree to rounding.
-
-    With the -i hbar factor restored the operator is Hermitian on interior
-    rows (K is antisymmetric there); boundary rows use one-sided differences
-    and are excluded from Hermiticity statements.
+    K is the symmetrized product (A K0 + K0 A)/2 with K0 the
+    centered-difference derivative.  With the -i hbar factor restored the
+    operator is Hermitian on interior rows (K is antisymmetric there);
+    boundary rows use one-sided differences and are excluded from
+    Hermiticity statements.
     """
     if grid.space != SPACE_X:
         raise ValueError("momentum_matrix expects a plain-x grid")
@@ -176,18 +191,18 @@ def momentum_matrix(cls: GroupClass, grid: Grid, form: str = "symmetric") -> np.
         cls.require_in_domain(x)
     a = np.array([cls.deformation_factor(x) for x in nodes])
     k0 = _diff_matrix(grid)
-    ak = a[:, None] * k0
-    if form == "symmetric":
-        return 0.5 * (ak + k0 * a[None, :])
-    if form == "gradient":
-        return ak + 0.5 * (k0 * a[None, :] - ak)
-    raise ValueError(f"unknown momentum form {form!r}")
+    return Tridiagonal(
+        0.5 * (a * k0.diag + k0.diag * a),
+        0.5 * (a[:-1] * k0.upper + k0.upper * a[1:]),
+        0.5 * (a[1:] * k0.lower + k0.lower * a[:-1]),
+    )
 
 
-def hermiticity_defect(k: np.ndarray) -> float:
+def hermiticity_defect(k: Tridiagonal) -> float:
     """Max interior-row deviation of K from antisymmetry (p_g from Hermiticity)."""
-    d = k + k.T
-    return float(np.abs(d[1:-1, 1:-1]).max())
+    sym_diag = 2.0 * k.diag[1:-1]
+    sym_off = (k.upper + k.lower)[1:-1]
+    return float(np.abs(np.concatenate([sym_diag, sym_off])).max())
 
 
 def _default_bumps(grid: Grid) -> list[np.ndarray]:
@@ -219,7 +234,7 @@ def commutator_check(
     for psi in states:
         psi = np.asarray(psi, dtype=float)
         # [x_g, -i hbar K] psi - i hbar psi = -i hbar ([x_g, K] psi + psi)
-        resid = hbar * (xg * (k @ psi) - k @ (xg * psi) + psi)
+        resid = hbar * (xg * k.matvec(psi) - k.matvec(xg * psi) + psi)
         worst = max(worst, float(np.abs(resid[1:-1]).max()))
     return worst
 
@@ -241,13 +256,13 @@ def hamiltonian_xspace(
     potential,
     m0: float = 1.0,
     hbar: float = 1.0,
-) -> np.ndarray:
+) -> Tridiagonal:
     """Position-dependent-mass Hamiltonian on interior nodes (Dirichlet walls).
 
-    Returns the dense tridiagonal matrix of the operator
+    Returns the bands of the operator
     -(hbar^2/2m0) A^2 d2 - (hbar^2/m0) A A' d1 - (hbar^2/8m0)(A'^2 + 2AA'') + V
     with centered 3-point stencils; rows/columns for the wall nodes are
-    dropped.  The matrix is non-symmetric as written (its exact diagonal
+    dropped.  The operator is non-symmetric as written (its exact diagonal
     symmetrization happens inside :func:`solve_eigen`).
     """
     if grid.space != SPACE_X:
@@ -269,13 +284,7 @@ def hamiltonian_xspace(
     diag = 2.0 * alpha * lap - 0.25 * alpha * (da * da + 2.0 * a * d2a) + v
     upper = -alpha * (lap[:-1] + drift[:-1])
     lower = -alpha * (lap[1:] - drift[1:])
-
-    m = np.zeros((inner.size, inner.size))
-    np.fill_diagonal(m, diag)
-    idx = np.arange(inner.size - 1)
-    m[idx, idx + 1] = upper
-    m[idx + 1, idx] = lower
-    return m
+    return Tridiagonal(diag, upper, lower)
 
 
 def field_term(cls: GroupClass, x: float, m0: float = 1.0, hbar: float = 1.0) -> float:
@@ -290,7 +299,7 @@ def hamiltonian_gspace(
     potential,
     m0: float = 1.0,
     hbar: float = 1.0,
-) -> np.ndarray:
+) -> Tridiagonal:
     """Constant-mass Hamiltonian in the deformed coordinate (interior nodes).
 
     Plain 3-point Dirichlet Laplacian plus the potential evaluated at
@@ -303,13 +312,8 @@ def hamiltonian_gspace(
     inner_u = grid.nodes[1:-1]
     xs = np.array([cls.g(u) for u in inner_u])
     v = _potential_values(potential, xs)
-    n = inner_u.size
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, 2.0 * alpha / (h * h) + v)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -alpha / (h * h)
-    m[idx + 1, idx] = -alpha / (h * h)
-    return m
+    off = np.full(inner_u.size - 1, -alpha / (h * h))
+    return Tridiagonal(2.0 * alpha / (h * h) + v, off, off)
 
 
 def mass_profile(cls: GroupClass, x: float, m0: float = 1.0) -> float:
@@ -321,15 +325,6 @@ def mass_profile(cls: GroupClass, x: float, m0: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # eigensolver
 # ---------------------------------------------------------------------------
-
-
-def _extract_tridiagonal(matrix: np.ndarray):
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if m.shape[0] > 2 and (np.any(np.triu(m, 2)) or np.any(np.tril(m, -2))):
-        raise ValueError("matrix must be tridiagonal")
-    return np.diag(m).copy(), np.diag(m, 1).copy(), np.diag(m, -1).copy()
 
 
 def _balance(d, upper, lower):
@@ -351,13 +346,6 @@ def _balance(d, upper, lower):
         scale[i + 1] = scale[i] * math.sqrt(upper[i] / lower[i])
     off = np.sign(upper) * np.sqrt(prod)
     return off, scale
-
-
-def _tridiag_matvec(d, e, x):
-    y = d * x
-    y[:-1] += e * x[1:]
-    y[1:] += e * x[:-1]
-    return y
 
 
 def _thomas(diag, off, b):
@@ -388,14 +376,14 @@ def _refine_pair(d_ld, e_ld, energy, vector):
     except ZeroDivisionError:
         z = x
     z /= np.sqrt((z * z).sum())
-    y = _tridiag_matvec(d_ld, e_ld, z)
+    y = Tridiagonal(d_ld, e_ld, e_ld).matvec(z)
     e_new = float((z * y).sum())
     resid = float(np.sqrt(((y - e_new * z) ** 2).sum()))
     return e_new, z.astype(float), resid
 
 
 def solve_eigen(
-    matrix: np.ndarray,
+    operator: Tridiagonal,
     k: int,
     grid: Grid,
     group_class: GroupClass | None = None,
@@ -407,12 +395,13 @@ def solve_eigen(
 
     Parameters
     ----------
-    matrix : ndarray
-        Interior-node operator from one of the Hamiltonian builders.
+    operator : Tridiagonal
+        Interior-node bands from one of the Hamiltonian builders: 1-d arrays
+        of lengths n, n - 1 and n - 1.
     k : int
-        Number of eigenpairs, 1 <= k <= matrix dimension.
+        Number of eigenpairs, 1 <= k <= n.
     grid : Grid
-        The full grid (including wall nodes) the matrix was assembled on.
+        The full grid (including wall nodes) the operator was assembled on.
     tol : Tolerances
         ``tol.eigen_backend`` picks "sturm" (bisection + inverse iteration,
         default) or "ql"; ``tol.eigen_residual`` is the per-pair residual
@@ -425,10 +414,13 @@ def solve_eigen(
         measure (times the balancing factors for the non-symmetric path, in
         which measure the returned states are exactly orthogonal).
     """
-    d, upper, lower = _extract_tridiagonal(matrix)
+    d, upper, lower = (np.asarray(band, dtype=float) for band in operator)
     n = d.size
+    if d.ndim != 1 or upper.shape != (n - 1,) or lower.shape != (n - 1,):
+        shapes = (d.shape, upper.shape, lower.shape)
+        raise ValueError(f"bands must be 1-d of lengths n, n-1, n-1, got shapes {shapes}")
     if grid.n_points != n + 2:
-        raise ValueError("grid does not match matrix size (interior nodes expected)")
+        raise ValueError("grid does not match operator size (interior nodes expected)")
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
 

@@ -59,12 +59,8 @@ def write_spectrum(spectrum, out_dir: str, stem: str = "spectrum") -> list[str]:
 
     for n, state in enumerate(spectrum.states, start=1):
         state_path = os.path.join(out_dir, f"{stem}_state_{n}.csv")
-        xs = state.grid.nodes
-        vals = state.values
-        rows = [
-            (x, float(v.real) if hasattr(v, "real") else float(v), float(getattr(v, "imag", 0.0)), abs(v) ** 2)
-            for x, v in zip(xs, vals)
-        ]
+        # states are real; im_psi stays as a column of zeros for format stability
+        rows = [(x, v, 0.0, v**2) for x, v in zip(state.grid.nodes, state.values.tolist())]
         write_csv(state_path, rows, header="x,re_psi,im_psi,prob_density")
         paths.append(state_path)
 

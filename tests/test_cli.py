@@ -207,3 +207,20 @@ def test_tolerance_override(capsys):
 def test_bad_tolerance_override(capsys):
     code, _, err = run(["check", "--class", "bg", "--tol", "nope=1"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("override", ["eigen_residual=nan", "quad_abs=inf"])
+def test_non_finite_tolerance_rejected(tmp_path, capsys, override):
+    argv = ["solve", "--potential", "well:L=1", "--N", "101", "--k", "1",
+            "--out", str(tmp_path), "--tol", override]
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert "finite" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec", ["tsallis:q=nan", "kaniadakis:k=inf"])
+def test_non_finite_class_parameter_rejected(capsys, spec):
+    code, _, err = run(["eval", "--class", spec, "1 (+) 2"], capsys)
+    assert code == 3
+    assert "must be finite" in err

@@ -211,7 +211,8 @@ def test_parse_class_spec():
     cls = parse_class_spec("series:a1=0.5,a2=0.125")
     assert cls.coeffs == (0.5, 0.125)
     assert cls.truncation_order == 2
-    for bad in ("nope", "tsallis", "tsallis:q=x", "series:a2=1", "bg:q=1"):
+    for bad in ("nope", "tsallis", "tsallis:q=x", "series:a2=1", "bg:q=1",
+                "tsallis:q=nan", "kaniadakis:k=inf", "abe:a=1,b=-inf", "series:a1=nan"):
         with pytest.raises(ValueError):
             parse_class_spec(bad)
 

@@ -14,6 +14,7 @@ from groupcalc import (
     CallablePotential,
     TabulatedPotential,
     Tolerances,
+    Tridiagonal,
     WellSolution,
     abe,
     commutator_check,
@@ -47,18 +48,10 @@ def test_momentum_bg_is_centered_difference():
     grid = Grid(0.0, 1.0, 101)
     k = momentum_matrix(BG, grid)
     h = grid.spacing
-    assert k[5, 6] == pytest.approx(0.5 / h)
-    assert k[5, 4] == pytest.approx(-0.5 / h)
-    assert k[5, 5] == 0.0
+    assert k.upper[5] == pytest.approx(0.5 / h)  # K[5, 6]
+    assert k.lower[4] == pytest.approx(-0.5 / h)  # K[5, 4]
+    assert k.diag[5] == 0.0
     assert hermiticity_defect(k) <= 1e-12
-
-
-def test_momentum_routes_agree_elementwise():
-    grid = Grid(0.0, 1.0, 101)
-    for cls in (tsallis(0.0), kaniadakis(1.0)):
-        k1 = momentum_matrix(cls, grid, form="symmetric")
-        k2 = momentum_matrix(cls, grid, form="gradient")
-        assert np.abs(k1[1:-1] - k2[1:-1]).max() <= 1e-10
 
 
 def test_momentum_hermiticity_interior():
@@ -104,9 +97,9 @@ def test_xspace_bg_reduces_to_textbook():
     grid = Grid(0.0, 1.0, 101)
     h = grid.spacing
     ham = hamiltonian_xspace(BG, grid, InfiniteWell(1.0))
-    assert ham[3, 3] == pytest.approx(1.0 / h**2)
-    assert ham[3, 4] == pytest.approx(-0.5 / h**2)
-    assert ham[4, 3] == pytest.approx(-0.5 / h**2)
+    assert ham.diag[3] == pytest.approx(1.0 / h**2)
+    assert ham.upper[3] == pytest.approx(-0.5 / h**2)  # H[3, 4]
+    assert ham.lower[3] == pytest.approx(-0.5 / h**2)  # H[4, 3]
     assert field_term(BG, 0.5) == 0.0
 
 
@@ -125,7 +118,8 @@ def test_xspace_symmetric_for_quadratic_stretch():
     grid = Grid(0.0, 1.0, 101)
     for cls in (tsallis(0.0), kaniadakis(1.0)):
         ham = hamiltonian_xspace(cls, grid, InfiniteWell(1.0))
-        assert np.abs(ham - ham.T).max() <= 1e-9 * np.abs(ham).max()
+        scale = max(np.abs(band).max() for band in ham)
+        assert np.abs(ham.upper - ham.lower).max() <= 1e-9 * scale
 
 
 def test_gspace_matrix_structure():
@@ -133,10 +127,10 @@ def test_gspace_matrix_structure():
     _, grid_g = well_grids(cls, 1.0, 101)
     assert grid_g.end == pytest.approx(math.log(2.0), rel=1e-15)
     ham = hamiltonian_gspace(cls, grid_g, InfiniteWell(1.0))
-    assert np.array_equal(ham, ham.T)
+    assert np.array_equal(ham.upper, ham.lower)
     h = grid_g.spacing
-    assert ham[0, 0] == pytest.approx(1.0 / h**2)
-    assert ham[0, 1] == pytest.approx(-0.5 / h**2)
+    assert ham.diag[0] == pytest.approx(1.0 / h**2)
+    assert ham.upper[0] == pytest.approx(-0.5 / h**2)
 
 
 def test_space_tagging_enforced():
@@ -254,11 +248,26 @@ def test_units_scale_through_solver():
 def test_solve_eigen_validates_input():
     grid = Grid(0.0, 1.0, 6)
     with pytest.raises(ValueError):
-        solve_eigen(np.eye(3), 1, grid)  # size mismatch
-    bad = np.eye(4)
-    bad[0, 3] = 1.0
+        solve_eigen(Tridiagonal(np.ones(3), np.ones(2), np.ones(2)), 1, grid)  # size mismatch
     with pytest.raises(ValueError):
-        solve_eigen(bad, 1, grid)  # not tridiagonal
+        solve_eigen(Tridiagonal(np.ones(4), np.ones(3), np.ones(2)), 1, grid)  # band lengths
+    with pytest.raises(ValueError):
+        solve_eigen(np.eye(3), 1, Grid(0.0, 1.0, 5))  # dense matrix, not bands
+
+
+def test_large_grid_is_banded():
+    # a dense operator at this size would take 3.2 GB
+    cls, n_points = kaniadakis(1.0), 20001
+    grid_x, grid_g = well_grids(cls, 1.0, n_points)
+    cells = 3 * (n_points - 2) - 2
+    assert sum(band.size for band in hamiltonian_xspace(cls, grid_x, InfiniteWell(1.0))) == cells
+    assert sum(band.size for band in hamiltonian_gspace(cls, grid_g, InfiniteWell(1.0))) == cells
+    from groupcalc import energy
+
+    exact = [energy(WellSolution(cls, 1.0, n)) for n in (1, 2, 3)]
+    for path in ("g", "x"):
+        spec = solve_well(cls, 1.0, n_points, 3, path=path)
+        assert np.allclose(spec.energies, exact, rtol=1e-6, atol=0.0)
 
 
 # -- transforms and profiles ---------------------------------------------------
