@@ -9,6 +9,7 @@ named by GROUPCALC_CONFIG, then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -107,6 +108,12 @@ def _parse_n_list(spec: str) -> list[int]:
     return [int(part) for part in spec.split(",")]
 
 
+def _require_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _parse_potential(spec: str):
     name, _, args = spec.partition(":")
     if name == "file":
@@ -120,9 +127,9 @@ def _parse_potential(spec: str):
                 raise ValueError(f"bad potential spec {spec!r}")
             kv[key.strip()] = raw.strip()
     if name == "well":
-        return InfiniteWell(float(kv["L"]))
+        return InfiniteWell(_require_finite("well:L", float(kv["L"])))
     if name == "harmonic":
-        omega = float(kv["omega"])
+        omega = _require_finite("harmonic:omega", float(kv["omega"]))
         return CallablePotential(lambda x: 0.5 * omega * omega * x * x)
     raise ValueError(f"unknown potential {spec!r}")
 
@@ -187,6 +194,8 @@ def cmd_well(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _build_config(args)
+    _require_finite("hbar", cfg.hbar)
+    _require_finite("m0", cfg.m0)
     cls = parse_class_spec(cfg.class_spec)
     potential = _parse_potential(args.potential)
 

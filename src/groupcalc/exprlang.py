@@ -297,7 +297,11 @@ def _as_int(value: float, what: str, offset: int) -> int:
 
 
 def evaluate(node: Expr, cls: GroupClass) -> float:
-    """Evaluate under a group class; DomainError carries the failing offset."""
+    """Evaluate under a group class; DomainError carries the failing offset.
+
+    Division by zero and float overflow inside the group operations are
+    raised as DomainError too.
+    """
     try:
         return _eval(node, cls)
     except DomainError:
@@ -336,6 +340,8 @@ def _eval(node: Expr, cls: GroupClass) -> float:
             return algebra.g_div(cls, left, right)
         except DomainError as exc:
             raise DomainError(f"{exc} (at offset {node.offset})") from None
+        except OverflowError as exc:
+            raise DomainError(f"overflow: {exc} (at offset {node.offset})") from None
     if isinstance(node, Call):
         args = [_eval(a, cls) for a in node.args]
         try:
@@ -360,6 +366,8 @@ def _eval(node: Expr, cls: GroupClass) -> float:
             if "(at offset" in str(exc):
                 raise
             raise DomainError(f"{exc} (at offset {node.offset})") from None
+        except OverflowError as exc:
+            raise DomainError(f"overflow: {exc} (at offset {node.offset})") from None
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -19,10 +19,15 @@ inverse-iteration step.  Non-symmetric bands are first reduced to a
 symmetric tridiagonal matrix by an exact diagonal similarity (the discrete
 counterpart of the sqrt(A) wavefunction rescaling, which itself is exposed as
 :func:`transform_state`).
+
+The samples u = G^{-1}(x) and A(x) on the nodes of a plain-x grid are
+computed once per (class, grid) and reused, read-only, by every state
+transformed onto that grid and by the momentum and commutator routines.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -160,6 +165,30 @@ class TabulatedPotential:
 
 
 # ---------------------------------------------------------------------------
+# x-grid samples
+# ---------------------------------------------------------------------------
+
+
+def _x_samples(cls: GroupClass, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (u, a): u = G^{-1}(x) and A(x) on the nodes of a plain-x grid."""
+    # The tolerances of the numerically inverted classes are not part of
+    # their equality, yet they change G^{-1}, so they are part of the key.
+    return _x_samples_cached(cls, getattr(cls, "tol", None), grid)
+
+
+@functools.lru_cache(maxsize=4)
+def _x_samples_cached(cls, tol, grid):
+    # The scalar methods, not numpy ufuncs: those differ from ``math`` in the
+    # last ulp on some inputs, which would change the written digits.
+    nodes = grid.nodes
+    u = np.array([cls.g_inv(x) for x in nodes])
+    a = np.array([cls.deformation_factor(x) for x in nodes])
+    u.flags.writeable = False
+    a.flags.writeable = False
+    return u, a
+
+
+# ---------------------------------------------------------------------------
 # momentum operator
 # ---------------------------------------------------------------------------
 
@@ -189,7 +218,7 @@ def momentum_matrix(cls: GroupClass, grid: Grid) -> Tridiagonal:
     nodes = grid.nodes
     for x in (nodes[0], nodes[-1]):
         cls.require_in_domain(x)
-    a = np.array([cls.deformation_factor(x) for x in nodes])
+    _, a = _x_samples(cls, grid)
     k0 = _diff_matrix(grid)
     return Tridiagonal(
         0.5 * (a * k0.diag + k0.diag * a),
@@ -226,8 +255,7 @@ def commutator_check(
     x_g is the diagonal operator G^{-1}(x).  The residual decays as the square
     of the grid spacing for smooth states.
     """
-    nodes = grid.nodes
-    xg = np.array([cls.g_inv(x) for x in nodes])
+    xg, _ = _x_samples(cls, grid)
     k = momentum_matrix(cls, grid)
     states = list(test_functions) if test_functions is not None else _default_bumps(grid)
     worst = 0.0
@@ -350,9 +378,12 @@ def _balance(d, upper, lower):
 
 def _thomas(diag, off, b):
     """Tridiagonal solve (longdouble) used by the refinement pass."""
-    n = diag.size
-    c = np.zeros(n - 1, dtype=np.longdouble)
-    g = np.zeros(n, dtype=np.longdouble)
+    # Lists of np.longdouble scalars: indexing them is far cheaper than
+    # indexing the arrays, and the arithmetic stays in longdouble.
+    diag, off, b = list(diag), list(off), list(b)
+    n = len(diag)
+    c = [None] * (n - 1)
+    g = [None] * n
     beta = diag[0]
     if beta == 0.0:
         raise ZeroDivisionError
@@ -365,7 +396,7 @@ def _thomas(diag, off, b):
         g[i] = (b[i] - off[i - 1] * g[i - 1]) / beta
     for i in range(n - 2, -1, -1):
         g[i] -= c[i] * g[i + 1]
-    return g
+    return np.array(g, dtype=np.longdouble)
 
 
 def _refine_pair(d_ld, e_ld, energy, vector):
@@ -498,16 +529,11 @@ def transform_state(cls: GroupClass, phi: WaveFunction) -> WaveFunction:
             phi.values.copy(),
             phi.norm_weight.copy(),
         )
-    u = phi.grid.nodes
-    spline = CubicSpline(u, phi.values)
+    u_nodes = phi.grid.nodes
+    spline = CubicSpline(u_nodes, phi.values)
     x_grid = Grid(cls.g(phi.grid.start), cls.g(phi.grid.end), phi.grid.n_points, SPACE_X)
-    xs = x_grid.nodes
-    values = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        ui = cls.g_inv(x)
-        values[i] = float(spline(np.clip(ui, u[0], u[-1]))) / math.sqrt(
-            cls.deformation_factor(x)
-        )
+    u, a = _x_samples(cls, x_grid)
+    values = spline(np.clip(u, u_nodes[0], u_nodes[-1])) / np.sqrt(a)
     h = x_grid.spacing
     weights = np.full(x_grid.n_points, h)
     weights[0] = weights[-1] = 0.5 * h

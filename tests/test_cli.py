@@ -41,6 +41,14 @@ def test_eval_domain_error_exit_3(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("spec", ["tsallis:q=0.5", "abe:a=1,b=-1"])
+def test_eval_overflow_exit_3(capsys, spec):
+    code, out, err = run(["eval", "--class", spec, "1e300(+)1e300"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "domain error: overflow: math range error (at offset 5)\n"
+
+
 # -- well ---------------------------------------------------------------------
 
 
@@ -224,3 +232,31 @@ def test_non_finite_class_parameter_rejected(capsys, spec):
     code, _, err = run(["eval", "--class", spec, "1 (+) 2"], capsys)
     assert code == 3
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--m0", "inf"], "m0"),
+    (["--hbar", "inf"], "hbar"),
+    (["--hbar", "nan"], "hbar"),
+    (["--potential", "well:L=inf"], "well:L"),
+    (["--potential", "harmonic:omega=nan"], "harmonic:omega"),
+])
+def test_non_finite_solve_input_rejected(tmp_path, capsys, argv, name):
+    base = {"--potential": "well:L=1", "--N": "101", "--k": "2", "--out": str(tmp_path)}
+    base.update(zip(argv[::2], argv[1::2]))
+    code, _, err = run(["solve"] + [item for pair in base.items() for item in pair], capsys)
+    assert code == 3
+    assert err.startswith(f"domain error: {name} must be finite")
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_config_value_rejected(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("m0=inf\n")
+    monkeypatch.setenv("GROUPCALC_CONFIG", str(cfg))
+    out = tmp_path / "out"
+    argv = ["solve", "--potential", "well:L=1", "--N", "101", "--k", "2", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err.startswith("domain error: m0 must be finite")
+    assert not out.exists()

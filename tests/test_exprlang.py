@@ -123,6 +123,16 @@ def test_eval_domain_error_carries_span():
         eval_source("x + 1", BG)  # unbound variable
 
 
+def test_eval_overflow_is_domain_error():
+    for source, cls, offset in (
+        ("1 (+) 1e300 (+) 1e300", tsallis(0.5), 12),
+        ("2 * expG(1e300)", tsallis(0.5), 4),
+        ("gint(1e308 * 10)", BG, 0),
+    ):
+        with pytest.raises(DomainError, match=rf"^overflow: .* \(at offset {offset}\)$"):
+            eval_source(source, cls)
+
+
 def test_repl_session():
     stdin = io.StringIO(
         "1 (+) 2\n"

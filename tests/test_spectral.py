@@ -34,7 +34,9 @@ from groupcalc import (
     tsallis,
     well_grids,
 )
-from groupcalc.tables import write_spectrum
+from groupcalc.groups import AbeClass
+from groupcalc.spectral import Spectrum, WaveFunction, _thomas, _x_samples
+from groupcalc.tables import write_csv, write_spectrum
 
 PI2_OVER_2 = 4.9348022005446793
 E1_TSALLIS_Q0 = 10.271144227611911
@@ -301,6 +303,91 @@ def test_transform_bg_is_identity():
     assert psi.grid.space == "x"
 
 
+def _series_exp08():
+    # order-8 truncation of the gamma = 0.8 exponential generator
+    return series([0.8**k / math.factorial(k) for k in range(1, 9)], 8)
+
+
+OUTPUT_CASES = [(tsallis(0.5), 1.0), (kaniadakis(1.0), 1.0), (abe(0.5, -2.0), 1.0),
+                (_series_exp08(), 0.3)]
+
+
+def _transform_per_node(cls, phi):
+    """The per-node formula transform_state must reproduce bit for bit."""
+    from scipy.interpolate import CubicSpline
+
+    u = phi.grid.nodes
+    spline = CubicSpline(u, phi.values)
+    xs = Grid(cls.g(phi.grid.start), cls.g(phi.grid.end), phi.grid.n_points, "x").nodes
+    return np.array([
+        float(spline(np.clip(cls.g_inv(x), u[0], u[-1]))) / math.sqrt(cls.deformation_factor(x))
+        for x in xs
+    ])
+
+
+@pytest.mark.parametrize("cls, L", OUTPUT_CASES, ids=[c.kind for c, _ in OUTPUT_CASES])
+def test_transform_state_equals_per_node_formula(cls, L):
+    spec = solve_well(cls, L, 301, 3)
+    for state in spec.states:
+        assert np.array_equal(transform_state(cls, state).values, _transform_per_node(cls, state))
+
+
+def test_x_samples_keyed_on_tolerances():
+    # AbeClass leaves tol out of equality, yet tol changes G^-1
+    grid = Grid(0.0, 1.0, 51)
+    loose = AbeClass(1.0, -1.0, tol=Tolerances(inverse_abs=1e-3))
+    tight = AbeClass(1.0, -1.0)
+    assert loose == tight
+    u_loose, _ = _x_samples(loose, grid)
+    u_tight, _ = _x_samples(tight, grid)
+    assert np.array_equal(u_loose, [loose.g_inv(x) for x in grid.nodes])
+    assert np.array_equal(u_tight, [tight.g_inv(x) for x in grid.nodes])
+    assert not np.array_equal(u_loose, u_tight)
+
+
+def test_x_samples_are_read_only():
+    u, a = _x_samples(kaniadakis(1.0), Grid(0.0, 1.0, 21))
+    for arr in (u, a):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_x_samples_domain_error_is_not_cached():
+    grid = Grid(-3.0, 1.0, 11)  # leaves the domain (-2, inf) of tsallis(0.5)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            _x_samples(tsallis(0.5), grid)
+
+
+def _thomas_indexed(diag, off, b):
+    """The indexed Thomas loop _thomas must reproduce bit for bit."""
+    n = diag.size
+    c = np.zeros(n - 1, dtype=np.longdouble)
+    g = np.zeros(n, dtype=np.longdouble)
+    beta = diag[0]
+    g[0] = b[0] / beta
+    for i in range(1, n):
+        c[i - 1] = off[i - 1] / beta
+        beta = diag[i] - off[i - 1] * c[i - 1]
+        g[i] = (b[i] - off[i - 1] * g[i - 1]) / beta
+    for i in range(n - 2, -1, -1):
+        g[i] -= c[i] * g[i + 1]
+    return g
+
+
+def test_thomas_equals_indexed_loop():
+    rng = np.random.default_rng(7)
+    # entries with extended-precision bits, like d - E in the refinement
+    diag = rng.uniform(2.0, 3.0, 400).astype(np.longdouble) - np.longdouble(0.1)
+    off = rng.uniform(-1.0, 1.0, 399).astype(np.longdouble)
+    b = rng.standard_normal(400).astype(np.longdouble)
+    got = _thomas(diag, off, b)
+    assert got.dtype == np.longdouble
+    assert np.array_equal(got, _thomas_indexed(diag, off, b))
+    with pytest.raises(ZeroDivisionError):
+        _thomas(np.zeros(3, dtype=np.longdouble), off[:2], b[:3])
+
+
 def test_mass_profile():
     assert mass_profile(tsallis(0.0), 1.0, 1.0) == pytest.approx(0.25, rel=1e-14)
     assert mass_profile(kaniadakis(1.0), 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
@@ -348,6 +435,23 @@ def test_write_spectrum_files(tmp_path):
     meta = (tmp_path / "w_meta.txt").read_text()
     assert "class: tsallis:q=0.5" in meta
     assert "backend: sturm" in meta
+
+
+def test_write_spectrum_state_bytes_equal_write_csv(tmp_path):
+    grid = Grid(-1.0, 0.0, 8, "x")
+    odd = np.array([-0.0, 1e-310, 5e-324, 1e150, -np.inf, np.nan, 123456789012.345, 2.0 / 3.0])
+    spectra = [
+        solve_well(abe(0.5, -2.0), 1.0, 301, 3),
+        Spectrum(np.array([1.0]), [WaveFunction(grid, odd, np.ones(8))], BG, {"residuals": [0.0]}),
+    ]
+    for i, spec in enumerate(spectra):
+        write_spectrum(spec, str(tmp_path), f"s{i}")
+        for n, state in enumerate(spec.states, start=1):
+            # the per-value rows the state files were written from before
+            rows = [(x, v, 0.0, v**2) for x, v in zip(state.grid.nodes, state.values.tolist())]
+            want = tmp_path / f"want{i}_{n}.csv"
+            write_csv(want, rows, header="x,re_psi,im_psi,prob_density")
+            assert (tmp_path / f"s{i}_state_{n}.csv").read_bytes() == want.read_bytes()
 
 
 def test_write_spectrum_deterministic(tmp_path):
