@@ -10,9 +10,7 @@ kept alongside as independent oracles.
 """
 
 from .algebra import (
-    DeformedValue,
     GInteger,
-    Space,
     clamp_occurred,
     cutoff_pow,
     deform,
@@ -27,7 +25,6 @@ from .algebra import (
     g_sub,
     g_sum,
     reset_clamp_flag,
-    undeform,
 )
 from .calculus import (
     Func1D,
@@ -53,10 +50,6 @@ from .groups import (
     abe,
     cos_g,
     exp_g,
-    g_inv,
-    g_of,
-    g_prime,
-    g_second,
     kaniadakis,
     log_g,
     parse_class_spec,
@@ -68,7 +61,6 @@ from .spectral import (
     Grid,
     InfiniteWell,
     CallablePotential,
-    TabulatedPotential,
     Spectrum,
     Tridiagonal,
     WaveFunction,
@@ -80,10 +72,10 @@ from .spectral import (
     hermiticity_defect,
     mass_profile,
     momentum_matrix,
+    solve_box,
     solve_eigen,
     solve_well,
     transform_state,
-    well_grids,
 )
 from .well import (
     WellSolution,

@@ -5,13 +5,17 @@ The additive family conjugates ordinary addition through the generator,
 conjugates it through the deformed exponential/logarithm pair,
 ``x (*) y = exp_g(log_g x + log_g y)``.  For the identity class both reduce
 bit-for-bit to ordinary arithmetic.
+
+The coordinate maps return plain numbers: ``deform`` gives the deformed
+coordinate x_g = G^{-1}(x) and ``dual_deform`` the dual coordinate G(x).
+Which space a set of samples lives in is recorded once, by the ``space`` of
+a :class:`groupcalc.spectral.Grid`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError
 from .groups import GroupClass, exp_g, log_g
@@ -159,41 +163,26 @@ def g_integer(cls: GroupClass, n: int) -> GInteger:
 # ---------------------------------------------------------------------------
 
 
-class Space(Enum):
-    X = "x"
-    G = "g"
-    DUAL_G = "dual_g"
+class _Coordinate(float):
+    """A float that also answers ``.value`` with the same number, so code that
+    reads ``deform(...).value`` keeps working."""
+
+    @property
+    def value(self) -> float:
+        return float(self)
 
 
-@dataclass(frozen=True)
-class DeformedValue:
-    """A real number tagged with the coordinate space it lives in."""
-
-    value: float
-    space: Space
-    group_class: GroupClass
-
-
-def deform(cls: GroupClass, x: float) -> DeformedValue:
-    """Map x to the deformed coordinate x_g = G^{-1}(x).
+def deform(cls: GroupClass, x: float) -> float:
+    """The deformed coordinate x_g = G^{-1}(x).
 
     Additive homomorphism: deform(g_sum(x, y)) = deform(x) + deform(y).
     """
-    return DeformedValue(cls.g_inv(x), Space.G, cls)
+    return _Coordinate(cls.g_inv(x))
 
 
-def dual_deform(cls: GroupClass, x: float) -> DeformedValue:
-    """Map x to the dual coordinate G(x)."""
-    return DeformedValue(cls.g(x), Space.DUAL_G, cls)
-
-
-def undeform(v: DeformedValue) -> float:
-    """Return the plain-space value of a tagged coordinate."""
-    if v.space is Space.X:
-        return v.value
-    if v.space is Space.G:
-        return v.group_class.g(v.value)
-    return v.group_class.g_inv(v.value)
+def dual_deform(cls: GroupClass, x: float) -> float:
+    """The dual coordinate G(x)."""
+    return _Coordinate(cls.g(x))
 
 
 def dual_g_sum(cls: GroupClass, x: float, y: float) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks, exprlang, tables, well as well_mod
+from .calculus import Func1D, func_from_samples
 from .config import DEFAULT_TOLERANCES, Tolerances, parse_tolerance_overrides
 from .errors import ConvergenceError, DomainError, ParseError, ToleranceNotMet
 from .groups import parse_class_spec
@@ -24,14 +25,9 @@ from .spectral import (
     SPACE_G,
     SPACE_X,
     CallablePotential,
-    Grid,
     InfiniteWell,
-    TabulatedPotential,
     cross_check_well,
-    hamiltonian_gspace,
-    hamiltonian_xspace,
-    solve_eigen,
-    solve_well,
+    solve_box,
 )
 
 EXIT_OK = 0
@@ -55,6 +51,10 @@ class RunConfig:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError("N must be >= 3")
+        for name in ("hbar", "m0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -118,7 +118,7 @@ def _parse_potential(spec: str):
     name, _, args = spec.partition(":")
     if name == "file":
         data = np.loadtxt(args, delimiter=",", skiprows=1)
-        return TabulatedPotential(data[:, 0], data[:, 1])
+        return CallablePotential(func_from_samples(data[:, 0], data[:, 1]))
     kv = {}
     if args:
         for item in args.split(","):
@@ -166,27 +166,25 @@ def cmd_well(args) -> int:
     n_list = _parse_n_list(args.n)
     comment = f"class={cls.spec_string()} L={tables.fmt(args.L)} hbar={tables.fmt(cfg.hbar)} m0={tables.fmt(cfg.m0)}"
 
-    energies = []
-    zero_rows, spacing_rows = [], []
-    for n in n_list:
-        sol = well_mod.WellSolution(cls, args.L, n, cfg.hbar, cfg.m0)
-        energies.append((n, well_mod.energy(sol)))
-        zero_rows.append([n] + well_mod.zeros(sol))
-        spacing_rows.append([n] + [well_mod.spacing(sol, m) for m in range(1, n + 1)])
+    sols = [well_mod.WellSolution(cls, args.L, n, cfg.hbar, cfg.m0) for n in n_list]
+    energies = [(sol.n, well_mod.energy(sol)) for sol in sols]
+    zero_rows = [[sol.n] + well_mod.zeros(sol) for sol in sols]
+    spacing_rows = [
+        [sol.n] + [well_mod.spacing(sol, m) for m in range(1, sol.n + 1)] for sol in sols
+    ]
 
     out = cfg.out
     tables.write_csv(os.path.join(out, "energies.csv"), energies, header="n,energy", comment=comment)
     tables.write_csv(os.path.join(out, "zeros.csv"), zero_rows, comment=comment + " columns=n,z0..zn")
     tables.write_csv(os.path.join(out, "spacings.csv"), spacing_rows, comment=comment + " columns=n,d1..dn")
-    for n in n_list:
-        sol = well_mod.WellSolution(cls, args.L, n, cfg.hbar, cfg.m0)
+    for sol in sols:
         table = well_mod.probability_table(sol, args.samples, sampling=args.sampling)
         col = "x_over_L" if args.sampling == "x" else "xg_over_Lg"
         tables.write_csv(
-            os.path.join(out, f"well_prob_n{n}.csv"),
+            os.path.join(out, f"well_prob_n{sol.n}.csv"),
             table,
             header=f"{col},prob_density_normalized",
-            comment=f"{comment} n={n}",
+            comment=f"{comment} n={sol.n}",
         )
     _emit_table(cfg, "energies", ["n", "energy"], energies)
     return EXIT_OK
@@ -194,43 +192,29 @@ def cmd_well(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _build_config(args)
-    _require_finite("hbar", cfg.hbar)
-    _require_finite("m0", cfg.m0)
     cls = parse_class_spec(cfg.class_spec)
     potential = _parse_potential(args.potential)
 
-    if isinstance(potential, InfiniteWell):
-        if args.cross_check:
-            spec_g, spec_x, disc = cross_check_well(
-                cls, potential.L, cfg.n_points, args.k, cfg.hbar, cfg.m0, cfg.tol
-            )
-            paths = tables.write_spectrum(spec_g, cfg.out, "spectrum_g")
-            paths += tables.write_spectrum(spec_x, cfg.out, "spectrum_x")
-            print(f"max_relative_discrepancy {tables.fmt(disc)}")
-            spectrum = spec_g
-        else:
-            spectrum = solve_well(
-                cls, potential.L, cfg.n_points, args.k, args.path, cfg.hbar, cfg.m0, cfg.tol
-            )
-            paths = tables.write_spectrum(spectrum, cfg.out, "spectrum")
+    if isinstance(potential, InfiniteWell) and args.cross_check:
+        spec_g, spec_x, disc = cross_check_well(
+            cls, potential.L, cfg.n_points, args.k, cfg.hbar, cfg.m0, cfg.tol
+        )
+        paths = tables.write_spectrum(spec_g, cfg.out, "spectrum_g")
+        paths += tables.write_spectrum(spec_x, cfg.out, "spectrum_x")
+        print(f"max_relative_discrepancy {tables.fmt(disc)}")
+        spectrum = spec_g
     else:
-        xmin, xmax = args.xmin, args.xmax
-        if isinstance(potential, TabulatedPotential):
-            xmin = potential.xs[0] if xmin is None else xmin
-            xmax = potential.xs[-1] if xmax is None else xmax
-        if xmin is None or xmax is None:
-            xmin = -8.0 if xmin is None else xmin
-            xmax = 8.0 if xmax is None else xmax
-        lo, hi = cls.domain
-        if not (lo < xmin and xmax < hi):
-            raise DomainError(f"box [{xmin}, {xmax}] exits class domain {cls.domain}")
-        if args.path == SPACE_G:
-            grid = Grid(cls.g_inv(xmin), cls.g_inv(xmax), cfg.n_points, SPACE_G)
-            ham = hamiltonian_gspace(cls, grid, potential, cfg.m0, cfg.hbar)
+        if isinstance(potential, InfiniteWell):
+            xmin, xmax = 0.0, potential.L
         else:
-            grid = Grid(xmin, xmax, cfg.n_points, SPACE_X)
-            ham = hamiltonian_xspace(cls, grid, potential, cfg.m0, cfg.hbar)
-        spectrum = solve_eigen(ham, args.k, grid, cls, cfg.hbar, cfg.m0, cfg.tol)
+            rule = potential.rule
+            lo, hi = (rule.lo, rule.hi) if isinstance(rule, Func1D) else (-8.0, 8.0)
+            xmin = lo if args.xmin is None else args.xmin
+            xmax = hi if args.xmax is None else args.xmax
+        spectrum = solve_box(
+            cls, xmin, xmax, potential, cfg.n_points, args.k, args.path,
+            cfg.hbar, cfg.m0, cfg.tol,
+        )
         paths = tables.write_spectrum(spectrum, cfg.out, "spectrum")
 
     rows = list(enumerate(spectrum.energies, start=1))

@@ -12,10 +12,11 @@ and ``gpow`` insist their count argument is an integer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import algebra, groups
-from .errors import DomainError, ParseError
+from .errors import DomainError, GroupCalcError, ParseError
 from .groups import GroupClass
 
 # -- tokens ------------------------------------------------------------------
@@ -291,7 +292,8 @@ def print_expr(node: Expr) -> str:
 
 
 def _as_int(value: float, what: str, offset: int) -> int:
-    if value != int(value):
+    # an infinity makes int() raise OverflowError, which _eval reports as overflow
+    if math.isnan(value) or value != int(value):
         raise DomainError(f"{what} must be an integer, got {value!r} (at offset {offset})")
     return int(value)
 
@@ -354,9 +356,9 @@ def _eval(node: Expr, cls: GroupClass) -> float:
             if node.name == "sinG":
                 return groups.sin_g(cls, args[0])
             if node.name == "deform":
-                return algebra.deform(cls, args[0]).value
+                return algebra.deform(cls, args[0])
             if node.name == "dualdeform":
-                return algebra.dual_deform(cls, args[0]).value
+                return algebra.dual_deform(cls, args[0])
             if node.name == "gint":
                 n = _as_int(args[0], "gint argument", node.offset)
                 return algebra.g_integer(cls, n).value
@@ -399,4 +401,6 @@ def run_repl(stdin, stdout, stderr, cls: GroupClass) -> int:
             print(f"parse error at offset {exc.offset}: {exc}", file=stderr)
         except DomainError as exc:
             print(f"domain error: {exc}", file=stderr)
+        except GroupCalcError as exc:
+            print(f"error: {exc}", file=stderr)
     return 0

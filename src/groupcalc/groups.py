@@ -410,26 +410,8 @@ def _bracketed_invert(g, g_prime, s: float, tol: Tolerances) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operations on a class (free-function surface used by the rest of the package)
+# deformed elementary functions
 # ---------------------------------------------------------------------------
-
-
-def g_of(cls: GroupClass, t: float) -> float:
-    """Generator value G(t)."""
-    return cls.g(t)
-
-
-def g_inv(cls: GroupClass, s: float) -> float:
-    """Inverse generator G^{-1}(s); raises DomainError outside ``cls.domain``."""
-    return cls.g_inv(s)
-
-
-def g_prime(cls: GroupClass, t: float) -> float:
-    return cls.g_prime(t)
-
-
-def g_second(cls: GroupClass, t: float) -> float:
-    return cls.g_second(t)
 
 
 def log_g(cls: GroupClass, x: float) -> float:

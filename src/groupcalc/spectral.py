@@ -20,6 +20,14 @@ symmetric tridiagonal matrix by an exact diagonal similarity (the discrete
 counterpart of the sqrt(A) wavefunction rescaling, which itself is exposed as
 :func:`transform_state`).
 
+``solve_box`` is the one route from a potential in the hard-walled box
+[xmin, xmax] to its spectrum: it checks both walls against the class
+domain, builds the grid of the chosen path ("g" or "x", the ``space`` of a
+:class:`Grid`), assembles and solves.  ``solve_well`` is the box [0, L] with
+no potential inside.  A potential is an :class:`InfiniteWell` or a
+:class:`CallablePotential` of any rule, for example a
+``calculus.func_from_samples`` spline through tabulated (x, V) data.
+
 The samples u = G^{-1}(x) and A(x) on the nodes of a plain-x grid are
 computed once per (class, grid) and reused, read-only, by every state
 transformed onto that grid and by the momentum and commutator routines.
@@ -145,23 +153,6 @@ class CallablePotential:
 
     def value_x(self, x: float) -> float:
         return float(self.rule(x))
-
-
-class TabulatedPotential:
-    """Cubic-spline interpolant of (x, V) samples."""
-
-    def __init__(self, xs, vs):
-        from scipy.interpolate import CubicSpline
-
-        xs = np.asarray(xs, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 4:
-            raise ValueError("need matching 1-d arrays with at least 4 samples")
-        self.xs, self.vs = xs, vs
-        self._spline = CubicSpline(xs, vs)
-
-    def value_x(self, x: float) -> float:
-        return float(self._spline(x))
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +531,35 @@ def transform_state(cls: GroupClass, phi: WaveFunction) -> WaveFunction:
     return WaveFunction(x_grid, values, weights)
 
 
-def well_grids(cls: GroupClass, L: float, n_points: int) -> tuple[Grid, Grid]:
-    """Matching x-space and deformed-space grids for a width-L well."""
-    lo, hi = cls.domain
-    if not (lo < 0.0 and L < hi):
-        raise DomainError(
-            f"well [0, {L}] exits the domain {cls.domain} of class {cls.spec_string()}"
-        )
-    return (
-        Grid(0.0, L, n_points, SPACE_X),
-        Grid(0.0, cls.g_inv(L), n_points, SPACE_G),
-    )
+def solve_box(
+    cls: GroupClass,
+    xmin: float,
+    xmax: float,
+    potential,
+    n_points: int,
+    k: int,
+    path: str = SPACE_G,
+    hbar: float = 1.0,
+    m0: float = 1.0,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> Spectrum:
+    """Lowest k states in the hard-walled box [xmin, xmax], on either path.
+
+    Both walls must lie inside the class domain.  Path "g" solves on the
+    uniform grid in u = G^{-1}(x) between the images of the walls, path "x"
+    on the uniform plain-x grid.
+    """
+    for edge in (xmin, xmax):
+        cls.require_in_domain(edge, "box edge")
+    if path == SPACE_G:
+        grid = Grid(cls.g_inv(xmin), cls.g_inv(xmax), n_points, SPACE_G)
+        ham = hamiltonian_gspace(cls, grid, potential, m0, hbar)
+    elif path == SPACE_X:
+        grid = Grid(xmin, xmax, n_points, SPACE_X)
+        ham = hamiltonian_xspace(cls, grid, potential, m0, hbar)
+    else:
+        raise ValueError(f"unknown path {path!r}")
+    return solve_eigen(ham, k, grid, cls, hbar, m0, tol)
 
 
 def solve_well(
@@ -563,16 +572,8 @@ def solve_well(
     m0: float = 1.0,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Spectrum:
-    """Infinite-well spectrum through either formulation ("g" or "x")."""
-    grid_x, grid_g = well_grids(cls, L, n_points)
-    pot = InfiniteWell(L)
-    if path == SPACE_G:
-        ham = hamiltonian_gspace(cls, grid_g, pot, m0, hbar)
-        return solve_eigen(ham, k, grid_g, cls, hbar, m0, tol)
-    if path == SPACE_X:
-        ham = hamiltonian_xspace(cls, grid_x, pot, m0, hbar)
-        return solve_eigen(ham, k, grid_x, cls, hbar, m0, tol)
-    raise ValueError(f"unknown path {path!r}")
+    """Infinite-well spectrum: the box [0, L] with no potential inside."""
+    return solve_box(cls, 0.0, L, InfiniteWell(L), n_points, k, path, hbar, m0, tol)
 
 
 def cross_check_well(

@@ -34,12 +34,8 @@ class WellSolution:
             raise ValueError("well width must be positive")
         if self.n < 1:
             raise ValueError("quantum number starts at n = 1")
-        lo, hi = self.group_class.domain
-        if not (lo < 0.0 and self.L < hi):
-            raise DomainError(
-                f"well [0, {self.L}] exits the domain {self.group_class.domain} "
-                f"of class {self.group_class.spec_string()}"
-            )
+        for edge in (0.0, self.L):
+            self.group_class.require_in_domain(edge, "well edge")
         object.__setattr__(self, "L_g", self.group_class.g_inv(self.L))
 
     @property

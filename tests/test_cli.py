@@ -260,3 +260,42 @@ def test_non_finite_config_value_rejected(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert err.startswith("domain error: m0 must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--potential", "well:L=1", "--N", "101", "--k", "2"],
+    ["well", "--L", "1", "--n", "2"],
+], ids=["solve", "well"])
+@pytest.mark.parametrize("name, value", [("m0", "0"), ("m0", "-1"), ("hbar", "0")])
+def test_non_positive_hbar_m0_rejected(tmp_path, capsys, monkeypatch, source, command, name, value):
+    out = tmp_path / "out"
+    argv = command + ["--out", str(out)]
+    if source == "flags":
+        argv += [f"--{name}", value]
+    else:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{name}={value}\n")
+        monkeypatch.setenv("GROUPCALC_CONFIG", str(cfg))
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err.startswith(f"domain error: {name} must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", [["--path", "g"], ["--path", "x"], ["--cross-check"]],
+                         ids=["g", "x", "cross-check"])
+@pytest.mark.parametrize("box", [
+    ["--class", "tsallis:q=1.5", "--potential", "well:L=3"],
+    ["--class", "tsallis:q=0.5", "--potential", "harmonic:omega=1", "--xmin", "-3"],
+    ["--class", "tsallis:q=0.5", "--potential", "harmonic:omega=1", "--xmin", "nan"],
+    ["--class", "tsallis:q=0.5", "--potential", "harmonic:omega=1", "--xmax", "inf"],
+    ["--class", "bg", "--potential", "harmonic:omega=1", "--xmin=-inf"],
+], ids=["well-L", "xmin", "xmin-nan", "xmax-inf", "bg-xmin-inf"])
+def test_box_edge_outside_domain(tmp_path, capsys, route, box):
+    out = tmp_path / "out"
+    argv = ["solve", "--N", "101", "--k", "2", "--out", str(out)] + box + route
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err.startswith("domain error: ")
+    assert not out.exists()

@@ -136,6 +136,7 @@ def test_eval_overflow_is_domain_error():
 def test_repl_session():
     stdin = io.StringIO(
         "1 (+) 2\n"
+        "gint(0*(1e308*10))\n"
         "class tsallis:q=0.5\n"
         "1 (+) 2\n"
         "gpow(4, 2\n"
@@ -150,6 +151,7 @@ def test_repl_session():
     messages = err.getvalue()
     assert "parse error" in messages
     assert "domain error" in messages
+    assert "gint argument must be an integer, got nan (at offset 0)" in messages
 
 
 def test_repl_class_switch_error():

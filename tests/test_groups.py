@@ -14,10 +14,6 @@ from groupcalc import (
     abe,
     cos_g,
     exp_g,
-    g_inv,
-    g_of,
-    g_prime,
-    g_second,
     kaniadakis,
     log_g,
     parse_class_spec,
@@ -41,53 +37,53 @@ ALL_CLASSES = [
 ]
 
 
-def test_g_of_closed_forms():
-    assert g_of(BG, 1.7) == 1.7
-    assert g_of(tsallis(0.0), LN2) == pytest.approx(1.0, abs=1e-15)
-    assert g_of(kaniadakis(1.0), 0.0) == 0.0
+def test_g_closed_forms():
+    assert BG.g(1.7) == 1.7
+    assert tsallis(0.0).g(LN2) == pytest.approx(1.0, abs=1e-15)
+    assert kaniadakis(1.0).g(0.0) == 0.0
 
 
 def test_g_inv_closed_forms():
-    assert g_inv(tsallis(0.0), 1.0) == pytest.approx(LN2, abs=1e-15)
-    assert g_inv(kaniadakis(1.0), 1.0) == pytest.approx(ASINH1, abs=1e-15)
+    assert tsallis(0.0).g_inv(1.0) == pytest.approx(LN2, abs=1e-15)
+    assert kaniadakis(1.0).g_inv(1.0) == pytest.approx(ASINH1, abs=1e-15)
     a = abe(1.0, -1.0)
-    assert g_inv(a, g_of(a, 0.3)) == pytest.approx(0.3, abs=1e-13)
+    assert a.g_inv(a.g(0.3)) == pytest.approx(0.3, abs=1e-13)
 
 
 def test_g_inv_domain_errors():
     with pytest.raises(DomainError):
-        g_inv(tsallis(0.5), -2.0)  # 1 + 0.5*(-2) = 0
+        tsallis(0.5).g_inv(-2.0)  # 1 + 0.5*(-2) = 0
     with pytest.raises(DomainError):
-        g_inv(tsallis(0.5), -3.0)
+        tsallis(0.5).g_inv(-3.0)
     with pytest.raises(DomainError):
-        g_inv(tsallis(3.0), 1.0)  # q > 1 flips the domain
+        tsallis(3.0).g_inv(1.0)  # q > 1 flips the domain
 
 
 def test_g_prime_g_second():
-    assert g_prime(BG, 5.0) == 1.0
-    assert g_second(BG, 5.0) == 0.0
-    assert g_prime(tsallis(0.5), 0.0) == 1.0
-    assert g_prime(kaniadakis(2.0), 1.0) == pytest.approx(math.cosh(2.0), rel=1e-15)
+    assert BG.g_prime(5.0) == 1.0
+    assert BG.g_second(5.0) == 0.0
+    assert tsallis(0.5).g_prime(0.0) == 1.0
+    assert kaniadakis(2.0).g_prime(1.0) == pytest.approx(math.cosh(2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.spec_string())
 def test_normalization_at_zero(cls):
-    assert g_of(cls, 0.0) == 0.0
-    assert g_prime(cls, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert cls.g(0.0) == 0.0
+    assert cls.g_prime(0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.spec_string())
 def test_roundtrip_1000_points(cls):
     rng = np.random.default_rng(42)
     for t in rng.uniform(-5.0, 5.0, 1000):
-        assert abs(g_inv(cls, g_of(cls, t)) - t) <= 1e-12 * (1.0 + abs(t))
+        assert abs(cls.g_inv(cls.g(t)) - t) <= 1e-12 * (1.0 + abs(t))
 
 
 def test_series_roundtrip_local():
     cls = series([0.5, 0.125, 0.5**3 / 6, 0.5**4 / 24], 4)
     rng = np.random.default_rng(1)
     for t in rng.uniform(-0.5, 0.5, 300):
-        assert abs(g_inv(cls, g_of(cls, t)) - t) <= 1e-12 * (1.0 + abs(t))
+        assert abs(cls.g_inv(cls.g(t)) - t) <= 1e-12 * (1.0 + abs(t))
 
 
 def test_series_matches_tsallis_locally():
@@ -97,7 +93,7 @@ def test_series_matches_tsallis_locally():
     cls = series([gamma**k / math.factorial(k) for k in range(1, order + 1)], order)
     ts = tsallis(1.0 - gamma)
     for t in np.linspace(-0.1, 0.1, 41):
-        assert abs(g_of(cls, t) - g_of(ts, t)) <= 1e-12
+        assert abs(cls.g(t) - ts.g(t)) <= 1e-12
 
 
 def test_series_order_exceeds_coefficients():
@@ -108,7 +104,7 @@ def test_series_order_exceeds_coefficients():
 def test_series_inverse_outside_radius():
     cls = series([-1.0], 1)  # G(t) = t - t^2/2, G' = 1 - t: domain is local
     with pytest.raises((ConvergenceError, DomainError)):
-        g_inv(cls, 10.0)
+        cls.g_inv(10.0)
 
 
 def test_abe_rejects_non_monotone():
@@ -126,7 +122,7 @@ def test_abe_matches_kaniadakis():
     # G_(k,-k) = sinh(k t)/k
     a, k = abe(1.0, -1.0), kaniadakis(1.0)
     for t in np.linspace(-3, 3, 21):
-        assert g_of(a, t) == pytest.approx(g_of(k, t), rel=1e-14)
+        assert a.g(t) == pytest.approx(k.g(t), rel=1e-14)
 
 
 def test_degenerate_parameters_normalize_to_bg():
@@ -183,24 +179,24 @@ def test_derivatives_match_finite_differences():
     h = 1e-5
     for cls in ALL_CLASSES:
         for t in np.linspace(-2.0, 2.0, 17):
-            fd1 = (g_of(cls, t + h) - g_of(cls, t - h)) / (2 * h)
-            fd2 = (g_prime(cls, t + h) - g_prime(cls, t - h)) / (2 * h)
-            assert abs(fd1 - g_prime(cls, t)) <= 1e-8 * (1.0 + abs(fd1))
-            assert abs(fd2 - g_second(cls, t)) <= 1e-8 * (1.0 + abs(fd2))
+            fd1 = (cls.g(t + h) - cls.g(t - h)) / (2 * h)
+            fd2 = (cls.g_prime(t + h) - cls.g_prime(t - h)) / (2 * h)
+            assert abs(fd1 - cls.g_prime(t)) <= 1e-8 * (1.0 + abs(fd1))
+            assert abs(fd2 - cls.g_second(t)) <= 1e-8 * (1.0 + abs(fd2))
 
 
 @given(t=st.floats(-5.0, 5.0), q=st.floats(-0.9, 0.95))
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_property_tsallis(t, q):
     cls = tsallis(q)
-    assert abs(g_inv(cls, g_of(cls, t)) - t) <= 1e-11 * (1.0 + abs(t))
+    assert abs(cls.g_inv(cls.g(t)) - t) <= 1e-11 * (1.0 + abs(t))
 
 
 @given(t=st.floats(-5.0, 5.0), kappa=st.floats(0.05, 3.0))
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_property_kaniadakis(t, kappa):
     cls = kaniadakis(kappa)
-    assert abs(g_inv(cls, g_of(cls, t)) - t) <= 1e-11 * (1.0 + abs(t))
+    assert abs(cls.g_inv(cls.g(t)) - t) <= 1e-11 * (1.0 + abs(t))
 
 
 def test_parse_class_spec():

@@ -12,7 +12,6 @@ from groupcalc import (
     Grid,
     InfiniteWell,
     CallablePotential,
-    TabulatedPotential,
     Tolerances,
     Tridiagonal,
     WellSolution,
@@ -21,6 +20,7 @@ from groupcalc import (
     cross_check_well,
     eigenfunction_x,
     field_term,
+    func_from_samples,
     hamiltonian_gspace,
     hamiltonian_xspace,
     hermiticity_defect,
@@ -32,7 +32,6 @@ from groupcalc import (
     solve_well,
     transform_state,
     tsallis,
-    well_grids,
 )
 from groupcalc.groups import AbeClass
 from groupcalc.spectral import Spectrum, WaveFunction, _thomas, _x_samples
@@ -126,7 +125,7 @@ def test_xspace_symmetric_for_quadratic_stretch():
 
 def test_gspace_matrix_structure():
     cls = tsallis(0.0)
-    _, grid_g = well_grids(cls, 1.0, 101)
+    grid_g = Grid(0.0, cls.g_inv(1.0), 101, "g")
     assert grid_g.end == pytest.approx(math.log(2.0), rel=1e-15)
     ham = hamiltonian_gspace(cls, grid_g, InfiniteWell(1.0))
     assert np.array_equal(ham.upper, ham.lower)
@@ -136,7 +135,8 @@ def test_gspace_matrix_structure():
 
 
 def test_space_tagging_enforced():
-    grid_x, grid_g = well_grids(kaniadakis(1.0), 1.0, 51)
+    grid_x = Grid(0.0, 1.0, 51, "x")
+    grid_g = Grid(0.0, kaniadakis(1.0).g_inv(1.0), 51, "g")
     with pytest.raises(ValueError):
         hamiltonian_gspace(kaniadakis(1.0), grid_x, InfiniteWell(1.0))
     with pytest.raises(ValueError):
@@ -260,7 +260,8 @@ def test_solve_eigen_validates_input():
 def test_large_grid_is_banded():
     # a dense operator at this size would take 3.2 GB
     cls, n_points = kaniadakis(1.0), 20001
-    grid_x, grid_g = well_grids(cls, 1.0, n_points)
+    grid_x = Grid(0.0, 1.0, n_points, "x")
+    grid_g = Grid(0.0, cls.g_inv(1.0), n_points, "g")
     cells = 3 * (n_points - 2) - 2
     assert sum(band.size for band in hamiltonian_xspace(cls, grid_x, InfiniteWell(1.0))) == cells
     assert sum(band.size for band in hamiltonian_gspace(cls, grid_g, InfiniteWell(1.0))) == cells
@@ -414,7 +415,7 @@ def test_harmonic_potential_bg():
 
 def test_tabulated_potential_roundtrip():
     xs = np.linspace(0.0, 1.0, 80)
-    pot = TabulatedPotential(xs, 3.0 * xs * (1 - xs))
+    pot = CallablePotential(func_from_samples(xs, 3.0 * xs * (1 - xs)))
     assert pot.value_x(0.5) == pytest.approx(0.75, abs=1e-6)
 
 
