@@ -181,7 +181,7 @@ def check_exp_derivative_identity(cls: GroupClass, tol: Tolerances, n: int = 100
     f = calculus.Func1D(lambda x: groups.exp_g(cls, x), *cls.domain)
     worst = 0.0
     for x in np.linspace(lo, hi, n):
-        d = calculus.g_derivative(cls, f, x, tol)
+        d = calculus.g_derivative(cls, f, x, tol, high_accuracy=True)
         worst = max(worst, abs(d - groups.exp_g(cls, x)))
     return CheckResult("exp-derivative-identity", worst <= 1e-8, worst)
 

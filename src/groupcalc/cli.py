@@ -19,7 +19,13 @@ import numpy as np
 from . import checks, exprlang, tables, well as well_mod
 from .calculus import Func1D, func_from_samples
 from .config import DEFAULT_TOLERANCES, Tolerances, parse_tolerance_overrides
-from .errors import ConvergenceError, DomainError, ParseError, ToleranceNotMet
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    ParseError,
+    ToleranceNotMet,
+    require_positive_scale,
+)
 from .groups import parse_class_spec
 from .spectral import (
     SPACE_G,
@@ -51,10 +57,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError("N must be >= 3")
-        for name in ("hbar", "m0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        require_positive_scale("hbar", self.hbar)
+        require_positive_scale("m0", self.m0)
 
 
 def _read_config_file(path: str) -> dict:
@@ -299,9 +303,27 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_number_values(argv) -> list[str]:
+    """Join ``--xmin V`` and ``--xmax V`` into ``--xmin=V`` when float()
+    accepts V: argparse takes a value such as "-1e1" or "-inf" that starts
+    with "-" but is no plain decimal for an option name."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--xmin", "--xmax") and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_number_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of the
+physical scales hbar and m0 that every entry point applies."""
+
+import math
 
 
 class GroupCalcError(Exception):
@@ -29,3 +32,9 @@ class ParseError(GroupCalcError, ValueError):
         super().__init__(message)
         self.offset = offset
         self.expected = tuple(expected)
+
+
+def require_positive_scale(name: str, value: float) -> None:
+    """Raise DomainError unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")

@@ -14,17 +14,48 @@ Built-in classes:
 * ``abe(a, b)``              -- G(t) = (e^{at} - e^{bt})/(a - b); inverse is numeric.
 * ``series(coeffs, order)``  -- truncated formal series t + sum a_k t^{k+1}/(k+1);
                                 inverse is a local Newton iteration.
+
+Each scalar method has an array form (``g_array``, ``g_inv_array``, ...,
+``deformation_factor_array``) for 1-d float arrays, whose every element
+equals the scalar method's result bit for bit.  The array forms use numpy
+only for correctly rounded operations (+ - * /, comparisons, ``abs``,
+``sqrt``, ``where``) and call libm through ``math`` and Python's ``**`` once
+per element: numpy's own ``exp``, ``expm1``, ``sinh``, ``**``, ... differ from
+libm in the last ulp on a share of inputs.  The numerically inverted classes
+run their inversions as masked vector copies of the scalar iterations, in
+which every element takes the scalar's steps and stops on its own.  An array
+with an element outside the domain raises the scalar's DomainError for the
+first such element, before any other error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ConvergenceError, DomainError
 
 _INF = math.inf
+
+
+def _map(f, x):
+    """f at every element of the 1-d float array x, one scalar call each."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def _pow(x, p):
+    """x ** p elementwise, through Python's float ``**`` as the scalar methods."""
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(p)), float, x.size)
+
+
+def _raise_first(failures: dict) -> None:
+    """Raise the ConvergenceError a node-by-node loop would have met first."""
+    if failures:
+        raise ConvergenceError(failures[min(failures)])
 
 
 class GroupClass:
@@ -76,6 +107,14 @@ class GroupClass:
                 f"{what} {s!r} outside domain {self.domain} of class {self.spec_string()}"
             )
 
+    def require_in_domain_array(self, s: np.ndarray, what: str = "argument") -> None:
+        """:meth:`require_in_domain` for every element; the error names the
+        first element outside the domain."""
+        lo, hi = self.domain
+        outside = ~((lo < s) & (s < hi))
+        if outside.any():
+            self.require_in_domain(s[outside.argmax()].item(), what)
+
     def deformation_factor(self, x: float) -> float:
         """A(x) = G'(G^{-1}(x)), the local stretching of the deformed coordinate."""
         return self.g_prime(self.g_inv(x))
@@ -91,6 +130,45 @@ class GroupClass:
         g2 = self.g_second(u)
         g3 = self.g_third(u)
         return g1, g2 / g1, (g3 * g1 - g2 * g2) / g1**3
+
+    # -- array forms: element i equals the scalar method at x[i] -------------
+    # The base forms loop over the scalar methods; the built-in classes
+    # override them with vector code.
+
+    def g_array(self, t: np.ndarray) -> np.ndarray:
+        return _map(self.g, t)
+
+    def g_inv_array(self, s: np.ndarray) -> np.ndarray:
+        return _map(self.g_inv, s)
+
+    def g_prime_array(self, t: np.ndarray) -> np.ndarray:
+        return _map(self.g_prime, t)
+
+    def g_second_array(self, t: np.ndarray) -> np.ndarray:
+        return _map(self.g_second, t)
+
+    def g_third_array(self, t: np.ndarray) -> np.ndarray:
+        return _map(self.g_third, t)
+
+    def deformation_factor_array(
+        self, x: np.ndarray, u: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A at every x.  ``u``, if given, is ``g_inv_array(x)``, which a
+        class whose A goes through the inverse then takes as it is.  A
+        subclass that overrides :meth:`deformation_factor` overrides this."""
+        return self.g_prime_array(self.g_inv_array(x) if u is None else u)
+
+    def deformation_derivs_array(
+        self, x: np.ndarray, u: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, A', A'') at every x, by the formulas of :meth:`deformation_derivs`;
+        ``u`` as for :meth:`deformation_factor_array`."""
+        if u is None:
+            u = self.g_inv_array(x)
+        g1 = self.g_prime_array(u)
+        g2 = self.g_second_array(u)
+        g3 = self.g_third_array(u)
+        return g1, g2 / g1, (g3 * g1 - g2 * g2) / _pow(g1, 3)
 
     def __repr__(self):
         return f"<GroupClass {self.spec_string()}>"
@@ -117,6 +195,21 @@ class BGClass(GroupClass):
 
     def g_third(self, t):
         return 0.0
+
+    def g_array(self, t):
+        return np.array(t, dtype=float)
+
+    def g_inv_array(self, s):
+        return np.array(s, dtype=float)
+
+    def g_prime_array(self, t):
+        return np.ones(t.shape)
+
+    def g_second_array(self, t):
+        return np.zeros(t.shape)
+
+    def g_third_array(self, t):
+        return np.zeros(t.shape)
 
     def spec_string(self):
         return "bg"
@@ -158,6 +251,26 @@ class TsallisClass(GroupClass):
         self.require_in_domain(x)
         return 1.0 + self.gamma * x
 
+    def g_array(self, t):
+        return _map(math.expm1, self.gamma * t) / self.gamma
+
+    def g_inv_array(self, s):
+        self.require_in_domain_array(s)
+        return _map(math.log1p, self.gamma * s) / self.gamma
+
+    def g_prime_array(self, t):
+        return _map(math.exp, self.gamma * t)
+
+    def g_second_array(self, t):
+        return self.gamma * _map(math.exp, self.gamma * t)
+
+    def g_third_array(self, t):
+        return self.gamma**2 * _map(math.exp, self.gamma * t)
+
+    def deformation_factor_array(self, x, u=None):
+        self.require_in_domain_array(x)
+        return 1.0 + self.gamma * x
+
     def spec_string(self):
         return f"tsallis:q={_fmt_param(self.q)}"
 
@@ -187,6 +300,24 @@ class KaniadakisClass(GroupClass):
 
     def deformation_factor(self, x):
         return math.sqrt(1.0 + (self.kappa * x) ** 2)
+
+    def g_array(self, t):
+        return _map(math.sinh, self.kappa * t) / self.kappa
+
+    def g_inv_array(self, s):
+        return _map(math.asinh, self.kappa * s) / self.kappa
+
+    def g_prime_array(self, t):
+        return _map(math.cosh, self.kappa * t)
+
+    def g_second_array(self, t):
+        return self.kappa * _map(math.sinh, self.kappa * t)
+
+    def g_third_array(self, t):
+        return self.kappa**2 * _map(math.cosh, self.kappa * t)
+
+    def deformation_factor_array(self, x, u=None):
+        return np.sqrt(1.0 + _pow(self.kappa * x, 2))
 
     def spec_string(self):
         return f"kaniadakis:k={_fmt_param(self.kappa)}"
@@ -243,6 +374,36 @@ class AbeClass(GroupClass):
     def g_inv(self, s):
         self.require_in_domain(s)
         return _bracketed_invert(self.g, self.g_prime, s, self.tol)
+
+    def _exps(self, t):
+        return _map(math.exp, self.a * t), _map(math.exp, self.b * t)
+
+    def g_array(self, t):
+        ea, eb = self._exps(t)
+        return (ea - eb) / (self.a - self.b)
+
+    def _g_and_prime_array(self, t):
+        """G and G' at t from one pair of exponentials."""
+        a, b = self.a, self.b
+        ea, eb = self._exps(t)
+        return (ea - eb) / (a - b), (a * ea - b * eb) / (a - b)
+
+    def g_prime_array(self, t):
+        return self._g_and_prime_array(t)[1]
+
+    def g_second_array(self, t):
+        a, b = self.a, self.b
+        ea, eb = self._exps(t)
+        return (a * a * ea - b * b * eb) / (a - b)
+
+    def g_third_array(self, t):
+        a, b = self.a, self.b
+        ea, eb = self._exps(t)
+        return (a**3 * ea - b**3 * eb) / (a - b)
+
+    def g_inv_array(self, s):
+        self.require_in_domain_array(s)
+        return _bracketed_invert_array(self.g_array, self._g_and_prime_array, s, self.tol)
 
     def spec_string(self):
         return f"abe:a={_fmt_param(self.a)},b={_fmt_param(self.b)}"
@@ -339,6 +500,55 @@ class SeriesClass(GroupClass):
                 return t
         raise ConvergenceError(f"series inverse did not converge for s={s!r}")
 
+    def g_array(self, t):
+        acc = t
+        for k in range(1, self.truncation_order + 1):
+            acc = acc + self.coeffs[k - 1] * _pow(t, k + 1) / (k + 1)
+        return acc
+
+    def g_prime_array(self, t):
+        acc = np.ones(t.shape)
+        for k in range(1, self.truncation_order + 1):
+            acc = acc + self.coeffs[k - 1] * _pow(t, k)
+        return acc
+
+    def g_second_array(self, t):
+        acc = np.zeros(t.shape)
+        for k in range(1, self.truncation_order + 1):
+            acc = acc + k * self.coeffs[k - 1] * _pow(t, k - 1)
+        return acc
+
+    def g_third_array(self, t):
+        acc = np.zeros(t.shape)
+        for k in range(2, self.truncation_order + 1):
+            acc = acc + k * (k - 1) * self.coeffs[k - 1] * _pow(t, k - 2)
+        return acc
+
+    def g_inv_array(self, s):
+        """Masked copy of :meth:`g_inv`: each element leaves on its own."""
+        self.require_in_domain_array(s)
+        floor = self.tol.series_gprime_min
+        t = np.array(s, dtype=float)
+        active = np.arange(s.size)
+        failures = {}
+        for _ in range(self.tol.inverse_max_iter):
+            if not active.size:
+                break
+            ta = t[active]
+            slope = self.g_prime_array(ta)
+            low = slope <= floor
+            for i, ti in zip(active[low].tolist(), ta[low].tolist()):
+                failures[i] = f"series inverse left the monotone region near t={ti!r}"
+            active, ta, slope = active[~low], ta[~low], slope[~low]
+            delta = (self.g_array(ta) - s[active]) / slope
+            ta = ta - delta
+            t[active] = ta
+            active = active[~(np.abs(delta) <= self.tol.inverse_abs * (1.0 + np.abs(ta)))]
+        for i, si in zip(active.tolist(), s[active].tolist()):
+            failures[i] = f"series inverse did not converge for s={si!r}"
+        _raise_first(failures)
+        return t
+
     def spec_string(self):
         parts = ",".join(
             f"a{k + 1}={_fmt_param(c)}" for k, c in enumerate(self.coeffs)
@@ -407,6 +617,60 @@ def _bracketed_invert(g, g_prime, s: float, tol: Tolerances) -> float:
         if abs(delta) <= tol.inverse_abs * (1.0 + abs(t)):
             return t
     raise ConvergenceError(f"Newton polish did not converge for s={s!r}")
+
+
+def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Masked vector copy of :func:`_bracketed_invert` over the elements of s.
+
+    Every element takes the scalar's bracket growth, bisection and Newton
+    steps and leaves each stage on its own stop rule, so element i is the
+    scalar result for s[i] bit for bit.  ``g_and_prime(t)`` returns
+    (g(t), g_prime(t)).
+    """
+    t = np.zeros(s.shape)  # G(0) = 0 keeps the fixed point s = 0 exact
+    lo, hi = np.full(s.shape, -1.0), np.full(s.shape, 1.0)
+    live = np.flatnonzero(s != 0.0)
+    failures = {}
+    for edge, outside in ((lo, np.greater), (hi, np.less)):
+        active = live
+        for _ in range(61):  # the scalar gives up after 60 doublings
+            active = active[outside(g(edge[active]), s[active])]
+            edge[active] *= 2.0
+            if not active.size:
+                break
+        else:
+            for i, si in zip(active.tolist(), s[active].tolist()):
+                failures[i] = f"failed to bracket inverse for s={si!r}"
+            live = np.setdiff1d(live, active)
+
+    active = live
+    for _ in range(80):
+        if not active.size:
+            break
+        l, h = lo[active], hi[active]
+        mid = 0.5 * (l + h)
+        below = g(mid) < s[active]
+        l, h = np.where(below, mid, l), np.where(below, h, mid)
+        lo[active], hi[active] = l, h
+        active = active[~(h - l < 1e-6 * (1.0 + np.abs(mid)))]
+
+    t[live] = 0.5 * (lo[live] + hi[live])
+    active = live
+    for _ in range(tol.inverse_max_iter):
+        if not active.size:
+            break
+        ta = t[active]
+        gt, gp = g_and_prime(ta)
+        delta = (gt - s[active]) / gp
+        ta = ta - delta
+        l, h = lo[active], hi[active]
+        ta = np.where((l - 1.0 <= ta) & (ta <= h + 1.0), ta, 0.5 * (l + h))
+        t[active] = ta
+        active = active[~(np.abs(delta) <= tol.inverse_abs * (1.0 + np.abs(ta)))]
+    for i, si in zip(active.tolist(), s[active].tolist()):
+        failures[i] = f"Newton polish did not converge for s={si!r}"
+    _raise_first(failures)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,14 @@ no potential inside.  A potential is an :class:`InfiniteWell` or a
 ``calculus.func_from_samples`` spline through tabulated (x, V) data.
 
 The samples u = G^{-1}(x) and A(x) on the nodes of a plain-x grid are
-computed once per (class, grid) and reused, read-only, by every state
-transformed onto that grid and by the momentum and commutator routines.
+computed once per (class, grid) and reused, read-only, by the x-space
+Hamiltonian, by every state transformed onto that grid and by the momentum
+and commutator routines.  All per-node class values come from the array
+forms of the class methods (``g_array``, ``g_inv_array``, ...), one call per
+grid.  Those equal the scalar methods bit for bit, because they leave every
+transcendental function and ``**`` to libm, one call per element through
+``math`` and Python's ``**``, so the written digits do not depend on which
+form computed them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive_scale
 from .groups import GroupClass
 
 SPACE_X = "x"
@@ -169,11 +175,12 @@ def _x_samples(cls: GroupClass, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=4)
 def _x_samples_cached(cls, tol, grid):
-    # The scalar methods, not numpy ufuncs: those differ from ``math`` in the
-    # last ulp on some inputs, which would change the written digits.
+    # The array forms take transcendental functions from libm, not from
+    # numpy's ufuncs, which differ in the last ulp on some inputs and would
+    # change the written digits.  A is taken from the one inversion.
     nodes = grid.nodes
-    u = np.array([cls.g_inv(x) for x in nodes])
-    a = np.array([cls.deformation_factor(x) for x in nodes])
+    u = cls.g_inv_array(nodes)
+    a = cls.deformation_factor_array(nodes, u)
     u.flags.writeable = False
     a.flags.writeable = False
     return u, a
@@ -292,10 +299,8 @@ def hamiltonian_xspace(
     h = grid.spacing
     alpha = hbar * hbar / (2.0 * m0)
     inner = nodes[1:-1]
-    derivs = [cls.deformation_derivs(x) for x in inner]
-    a = np.array([d[0] for d in derivs])
-    da = np.array([d[1] for d in derivs])
-    d2a = np.array([d[2] for d in derivs])
+    u, _ = _x_samples(cls, grid)
+    a, da, d2a = cls.deformation_derivs_array(inner, u[1:-1])
     v = _potential_values(potential, inner)
 
     lap = a * a / (h * h)
@@ -329,7 +334,7 @@ def hamiltonian_gspace(
     h = grid.spacing
     alpha = hbar * hbar / (2.0 * m0)
     inner_u = grid.nodes[1:-1]
-    xs = np.array([cls.g(u) for u in inner_u])
+    xs = cls.g_array(inner_u)
     v = _potential_values(potential, xs)
     off = np.full(inner_u.size - 1, -alpha / (h * h))
     return Tridiagonal(2.0 * alpha / (h * h) + v, off, off)
@@ -346,7 +351,7 @@ def mass_profile(cls: GroupClass, x: float, m0: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _balance(d, upper, lower):
+def _balance(upper, lower):
     """Exact diagonal similarity onto a symmetric tridiagonal matrix.
 
     Returns (off, scale) with S = D M D^{-1}, D = diag(scale), symmetric with
@@ -359,10 +364,7 @@ def _balance(d, upper, lower):
             "cannot symmetrize: an off-diagonal product is not positive "
             "(grid too coarse for this deformation)"
         )
-    n = d.size
-    scale = np.ones(n)
-    for i in range(n - 1):
-        scale[i + 1] = scale[i] * math.sqrt(upper[i] / lower[i])
+    scale = np.concatenate(([1.0], np.multiply.accumulate(np.sqrt(upper / lower))))
     off = np.sign(upper) * np.sqrt(prod)
     return off, scale
 
@@ -449,7 +451,7 @@ def solve_eigen(
     if np.array_equal(upper, lower):
         off, scale = upper, np.ones(n)
     else:
-        off, scale = _balance(d, upper, lower)
+        off, scale = _balance(upper, lower)
 
     if tol.eigen_backend == "ql":
         energies, vectors = eigh_tridiagonal(d, off, select="a", lapack_driver="stev")
@@ -545,10 +547,12 @@ def solve_box(
 ) -> Spectrum:
     """Lowest k states in the hard-walled box [xmin, xmax], on either path.
 
-    Both walls must lie inside the class domain.  Path "g" solves on the
-    uniform grid in u = G^{-1}(x) between the images of the walls, path "x"
-    on the uniform plain-x grid.
+    Both walls must lie inside the class domain, and hbar and m0 must be
+    finite and > 0.  Path "g" solves on the uniform grid in u = G^{-1}(x)
+    between the images of the walls, path "x" on the uniform plain-x grid.
     """
+    require_positive_scale("hbar", hbar)
+    require_positive_scale("m0", m0)
     for edge in (xmin, xmax):
         cls.require_in_domain(edge, "box edge")
     if path == SPACE_G:

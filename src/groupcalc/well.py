@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import g_sum
-from .errors import DomainError
+from .errors import DomainError, require_positive_scale
 from .groups import GroupClass
 
 
@@ -34,6 +34,8 @@ class WellSolution:
             raise ValueError("well width must be positive")
         if self.n < 1:
             raise ValueError("quantum number starts at n = 1")
+        require_positive_scale("hbar", self.hbar)
+        require_positive_scale("m0", self.m0)
         for edge in (0.0, self.L):
             self.group_class.require_in_domain(edge, "well edge")
         object.__setattr__(self, "L_g", self.group_class.g_inv(self.L))

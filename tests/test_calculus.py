@@ -23,6 +23,7 @@ from groupcalc import (
     kaniadakis,
     tsallis,
 )
+from groupcalc.checks import run_checks
 
 LN2 = 0.6931471805599453
 ASINH1 = 0.8813735870195430
@@ -188,3 +189,11 @@ def test_integral_orientation_and_empty():
     assert g_integral(tsallis(0.5), lambda x: 1.0, 1.0, 0.0) == pytest.approx(
         -g_integral(tsallis(0.5), lambda x: 1.0, 0.0, 1.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("backend", ["simpson", "gauss16"])
+def test_checks_pass_near_upper_tsallis_edge(backend):
+    # q = 1.23 puts the exp-derivative samples close to the domain edge
+    # 1/(q-1), where the 3-point stencil's truncation error exceeded 1e-8.
+    results = run_checks(tsallis(1.23), Tolerances(quad_backend=backend))
+    assert [r.name for r in results if not r.passed] == []

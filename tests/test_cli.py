@@ -291,7 +291,10 @@ def test_non_positive_hbar_m0_rejected(tmp_path, capsys, monkeypatch, source, co
     ["--class", "tsallis:q=0.5", "--potential", "harmonic:omega=1", "--xmin", "nan"],
     ["--class", "tsallis:q=0.5", "--potential", "harmonic:omega=1", "--xmax", "inf"],
     ["--class", "bg", "--potential", "harmonic:omega=1", "--xmin=-inf"],
-], ids=["well-L", "xmin", "xmin-nan", "xmax-inf", "bg-xmin-inf"])
+    ["--class", "bg", "--potential", "harmonic:omega=1", "--xmin", "-inf"],
+    ["--class", "tsallis:q=0.5", "--potential", "harmonic:omega=1", "--xmin", "-3e0"],
+], ids=["well-L", "xmin", "xmin-nan", "xmax-inf", "bg-xmin-inf", "bg-xmin-inf-space",
+        "xmin-exponent-space"])
 def test_box_edge_outside_domain(tmp_path, capsys, route, box):
     out = tmp_path / "out"
     argv = ["solve", "--N", "101", "--k", "2", "--out", str(out)] + box + route
@@ -299,3 +302,13 @@ def test_box_edge_outside_domain(tmp_path, capsys, route, box):
     assert code == 3
     assert err.startswith("domain error: ")
     assert not out.exists()
+
+
+def test_box_edge_with_exponent_as_next_argument(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["solve", "--potential", "harmonic:omega=1", "--xmin", "-1e1", "--xmax", "1e1",
+            "--N", "101", "--k", "2", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    rows = (out / "spectrum_state_1.csv").read_text().splitlines()
+    assert rows[1].startswith("-10,") and rows[-1].startswith("10,")

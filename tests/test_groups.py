@@ -11,6 +11,7 @@ from groupcalc import (
     BG,
     ConvergenceError,
     DomainError,
+    GroupCalcError,
     abe,
     cos_g,
     exp_g,
@@ -217,3 +218,130 @@ def test_spec_string_roundtrip():
     for cls in ALL_CLASSES:
         again = parse_class_spec(cls.spec_string())
         assert again.spec_string() == cls.spec_string()
+
+
+# -- array forms: bit for bit the scalar methods ---------------------------
+
+GENERATOR_METHODS = ("g", "g_prime", "g_second", "g_third")
+
+
+def _outcome(fn, x):
+    """The bits of fn(x), or the type and message of the error it raised."""
+    try:
+        return np.ascontiguousarray(fn(x), dtype=float).view(np.uint64).tolist()
+    except (GroupCalcError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _scalar_loop(method):
+    return lambda x: np.array([method(v) for v in x.tolist()], dtype=float)
+
+
+def _scalar_inverts(cls, points):
+    """The points at which the scalar G^-1 returns a value."""
+    return [v for v in points
+            if not isinstance(_outcome(_scalar_loop(cls.g_inv), np.array([v])), tuple)]
+
+
+def assert_array_forms_match_scalar(cls, t, s):
+    """Every array form at t (generator arguments) or s (arguments of G^-1
+    and A) has the bits of the scalar method's loop, or raises its error."""
+    t, s = np.array(t, dtype=float), np.array(s, dtype=float)
+    for name in GENERATOR_METHODS:
+        want = _outcome(_scalar_loop(getattr(cls, name)), t)
+        assert _outcome(getattr(cls, f"{name}_array"), t) == want, name
+    for name in ("g_inv", "deformation_factor"):
+        want = _outcome(_scalar_loop(getattr(cls, name)), s)
+        assert _outcome(getattr(cls, f"{name}_array"), s) == want, name
+    # With the inverse given, as the spectral routines call them.
+    s = np.array(_scalar_inverts(cls, s.tolist()))
+    u = cls.g_inv_array(s)
+    want_a = _outcome(_scalar_loop(cls.deformation_factor), s)
+    assert _outcome(lambda x: cls.deformation_factor_array(x, u), s) == want_a
+    derivs = np.array([cls.deformation_derivs(v) for v in s.tolist()]).T
+    for want, got in zip(derivs, cls.deformation_derivs_array(s, u)):
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def _near_edges(cls):
+    """s = 0 and points just inside each domain edge (large for an open end)."""
+    lo, hi = cls.domain
+    points = [0.0, -0.0]
+    for edge, inward in ((lo, math.inf), (hi, -math.inf)):
+        if math.isfinite(edge):
+            step = math.copysign(1e-9 * (1.0 + abs(edge)), inward)
+            points += [float(np.nextafter(edge, inward)), edge + step]
+        else:
+            points.append(math.copysign(1e6, edge))
+    return points
+
+
+@st.composite
+def _arguments(draw, cls, cap=5.0):
+    """A grid, random draws and the near-edge points of cls, shuffled."""
+    lo, hi = max(cls.domain[0], -cap), min(cls.domain[1], cap)
+    grid = np.linspace(lo, hi, draw(st.integers(3, 40)))[1:-1].tolist()
+    free = draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True), max_size=30))
+    points = grid + free + _near_edges(cls)
+    return draw(st.permutations(points))
+
+
+def _check_class(data, cls, t_cap=5.0):
+    t_lo, t_hi = (max(cls.t_range[0], -t_cap), min(cls.t_range[1], t_cap))
+    t = data.draw(st.lists(st.floats(t_lo, t_hi), min_size=1, max_size=40)) + [0.0, -0.0]
+    t += np.linspace(t_lo, t_hi, 17).tolist()
+    assert_array_forms_match_scalar(cls, t, data.draw(_arguments(cls)))
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_array_forms_bg(data):
+    _check_class(data, BG, t_cap=1e6)
+
+
+@given(data=st.data(), q=st.floats(-0.9, 0.95))
+@settings(max_examples=60, deadline=None)
+def test_array_forms_tsallis_q_below_one(data, q):
+    _check_class(data, tsallis(q))
+
+
+@given(data=st.data(), q=st.floats(1.05, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_array_forms_tsallis_q_above_one(data, q):
+    _check_class(data, tsallis(q))
+
+
+@given(data=st.data(), kappa=st.floats(0.05, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_array_forms_kaniadakis(data, kappa):
+    _check_class(data, kaniadakis(kappa))
+
+
+@given(data=st.data(), a=st.floats(0.05, 2.0),
+       b=st.one_of(st.just(0.0), st.floats(-2.0, -0.05)))
+@settings(max_examples=60, deadline=None)
+def test_array_forms_abe(data, a, b):
+    _check_class(data, abe(a, b))
+
+
+@given(data=st.data(), coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_array_forms_series(data, coeffs):
+    _check_class(data, series(coeffs))
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES + [tsallis(1.5), abe(1.0, 0.0), series([0.3])],
+                         ids=lambda c: c.spec_string())
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_array_forms_out_of_domain(cls, data):
+    # The domain check of an array comes before its other errors, so the
+    # elements inside the domain are ones the scalar inverts.
+    lo, hi = cls.domain
+    bad = [math.nan, math.inf, -math.inf] + [e for e in (lo, hi) if math.isfinite(e)]
+    points = _scalar_inverts(cls, data.draw(_arguments(cls)))
+    points.insert(data.draw(st.integers(0, len(points))), data.draw(st.sampled_from(bad)))
+    s = np.array(points)
+    for name in ("g_inv", "deformation_factor"):
+        want = _outcome(_scalar_loop(getattr(cls, name)), s)
+        assert _outcome(getattr(cls, f"{name}_array"), s) == want, name

@@ -34,7 +34,7 @@ from groupcalc import (
     tsallis,
 )
 from groupcalc.groups import AbeClass
-from groupcalc.spectral import Spectrum, WaveFunction, _thomas, _x_samples
+from groupcalc.spectral import Spectrum, WaveFunction, _balance, _thomas, _x_samples
 from groupcalc.tables import write_csv, write_spectrum
 
 PI2_OVER_2 = 4.9348022005446793
@@ -387,6 +387,19 @@ def test_thomas_equals_indexed_loop():
     assert np.array_equal(got, _thomas_indexed(diag, off, b))
     with pytest.raises(ZeroDivisionError):
         _thomas(np.zeros(3, dtype=np.longdouble), off[:2], b[:3])
+
+
+@pytest.mark.parametrize("n_points", [1001, 4001])
+def test_balance_equals_loop(n_points):
+    rng = np.random.default_rng(n_points)
+    ham = hamiltonian_xspace(abe(1.0, -1.0), Grid(0.0, 1.0, n_points), InfiniteWell(1.0))
+    random_bands = (-rng.uniform(0.5, 2.0, n_points - 1), -rng.uniform(0.5, 2.0, n_points - 1))
+    for upper, lower in ((ham.upper, ham.lower), random_bands):
+        _, scale = _balance(upper, lower)
+        want = np.ones(upper.size + 1)
+        for i in range(upper.size):
+            want[i + 1] = want[i] * math.sqrt(upper[i] / lower[i])
+        assert np.array_equal(scale, want)
 
 
 def test_mass_profile():

@@ -155,6 +155,17 @@ def test_quantum_number_validation():
         WellSolution(BG, -1.0, 1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("m0", 0.0), ("m0", -1.0), ("m0", math.inf), ("hbar", 0.0), ("hbar", math.nan),
+])
+def test_library_entry_points_reject_bad_scales(name, value):
+    message = f"^{name} must be finite and > 0, got {value!r}$"
+    with pytest.raises(DomainError, match=message):
+        solve_well(BG, 1.0, 101, 2, **{name: value})
+    with pytest.raises(DomainError, match=message):
+        WellSolution(BG, 1.0, 1, **{name: value})
+
+
 def test_domain_guard_for_q_above_one():
     # gamma = -1: the coordinate map diverges at x = 1, so a width-1 well
     # (or wider) is refused rather than silently truncated
