@@ -17,8 +17,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .groups import GroupClass, exp_g, log_g
+from .groups import GroupClass, _pow, exp_g, log_g
 
 _local = threading.local()
 
@@ -50,6 +52,20 @@ def cutoff_pow(base: float, exponent: float) -> float:
         _set_clamped()
         return 0.0
     return base**exponent
+
+
+def cutoff_pow_array(base: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cutoff_pow` at every element of base, as ``(values, clamped)``.
+
+    ``clamped`` marks the elements whose scalar call clamps; the clamp flag is
+    set if any element clamps.
+    """
+    clamped = base < 0.0
+    values = np.zeros(base.shape)
+    values[~clamped] = _pow(base[~clamped], exponent)
+    if clamped.any():
+        _set_clamped()
+    return values, clamped
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,10 @@ def _parse_n_list(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
+        n_list = list(range(int(lo), int(hi) + 1))
+        if not n_list:
+            raise DomainError(f"quantum-number range {spec!r} is empty")
+        return n_list
     return [int(part) for part in spec.split(",")]
 
 

@@ -7,14 +7,23 @@ They deliberately do not share code with the generic path.
 
 Cutoff convention: a bracketed base ``[.]_+`` that goes negative is clamped
 to zero and flagged (see :func:`groupcalc.algebra.clamp_occurred`).
+
+The sum, difference, product and quotient have array twins (``q_sum_array``,
+..., ``kappa_div_array``) whose element i equals the scalar form at
+(x[i], y[i]) bit for bit, under the libm rule of :mod:`groupcalc.groups`.  The
+product and quotient twins return ``(values, clamped)``, where ``clamped``
+marks the elements whose scalar call clamps a cutoff base.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebra import cutoff_pow
+import numpy as np
+
+from .algebra import cutoff_pow, cutoff_pow_array
 from .errors import DomainError
+from .groups import _map, _pow
 
 # -- q-algebra ---------------------------------------------------------------
 
@@ -161,3 +170,57 @@ def kappa_pow(kappa: float, x: float, n: int) -> float:
         raise DomainError("kappa_pow needs a positive operand")
     s = n * math.sinh(k * math.log(x))
     return cutoff_pow(s + math.sqrt(s * s + 1.0), 1.0 / k)
+
+
+# -- array twins -------------------------------------------------------------
+
+
+def q_sum_array(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x + y + _gamma(q) * x * y
+
+
+def q_sub_array(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    denom = 1.0 + _gamma(q) * y
+    pole = denom == 0.0
+    if pole.any():
+        q_sub(q, 0.0, y[pole.argmax()].item())  # raises the scalar's DomainError
+    return (x - y) / denom
+
+
+def q_prod_array(q: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    g = _gamma(q)
+    return cutoff_pow_array(_pow(x, g) + _pow(y, g) - 1.0, 1.0 / g)
+
+
+def q_div_array(q: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    g = _gamma(q)
+    return cutoff_pow_array(_pow(x, g) - _pow(y, g) + 1.0, 1.0 / g)
+
+
+def kappa_sum_array(kappa: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    k = _check_kappa(kappa)
+    return x * np.sqrt(1.0 + _pow(k * y, 2)) + y * np.sqrt(1.0 + _pow(k * x, 2))
+
+
+def kappa_sub_array(kappa: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    k = _check_kappa(kappa)
+    return x * np.sqrt(1.0 + _pow(k * y, 2)) - y * np.sqrt(1.0 + _pow(k * x, 2))
+
+
+def _kappa_exp_of_half(k: float, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(asinh(half)/k) at every element, and the (empty) clamp mask."""
+    return _map(math.exp, _map(math.asinh, half) / k), np.zeros(half.shape, bool)
+
+
+def kappa_prod_array(kappa: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    k = _check_kappa(kappa)
+    if ((x <= 0.0) | (y <= 0.0)).any():
+        raise DomainError("kappa_prod needs positive operands")
+    return _kappa_exp_of_half(k, (_pow(x, k) + _pow(y, k) - _pow(x, -k) - _pow(y, -k)) / 2.0)
+
+
+def kappa_div_array(kappa: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    k = _check_kappa(kappa)
+    if ((x <= 0.0) | (y <= 0.0)).any():
+        raise DomainError("kappa_div needs positive operands")
+    return _kappa_exp_of_half(k, (_pow(x, k) - _pow(y, k) - _pow(x, -k) + _pow(y, -k)) / 2.0)

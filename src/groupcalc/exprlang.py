@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import algebra, groups
 from .errors import DomainError, GroupCalcError, ParseError
@@ -27,8 +28,7 @@ _ADDITIVE = {"+", "-", "g+", "g-"}
 _MULTIPLICATIVE = {"*", "/", "g*", "g/"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "lparen" | "rparen" | "comma" | "end"
     text: str
     offset: int

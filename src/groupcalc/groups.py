@@ -101,6 +101,11 @@ class GroupClass:
         lo, hi = self.domain
         return lo < s < hi
 
+    def contains_array(self, s: np.ndarray) -> np.ndarray:
+        """:meth:`contains` at every element of s."""
+        lo, hi = self.domain
+        return (lo < s) & (s < hi)
+
     def require_in_domain(self, s: float, what: str = "argument") -> None:
         if not self.contains(s):
             raise DomainError(
@@ -110,8 +115,7 @@ class GroupClass:
     def require_in_domain_array(self, s: np.ndarray, what: str = "argument") -> None:
         """:meth:`require_in_domain` for every element; the error names the
         first element outside the domain."""
-        lo, hi = self.domain
-        outside = ~((lo < s) & (s < hi))
+        outside = ~self.contains_array(s)
         if outside.any():
             self.require_in_domain(s[outside.argmax()].item(), what)
 
@@ -697,6 +701,25 @@ def exp_g(cls: GroupClass, x: float) -> float:
         return 0.0
     cls.require_in_domain(x)
     return math.exp(cls.g_inv(x))
+
+
+def log_g_array(cls: GroupClass, x: np.ndarray) -> np.ndarray:
+    """:func:`log_g` at every element of x; the error names the first x <= 0."""
+    bad = x <= 0.0
+    if bad.any():
+        log_g(cls, x[bad.argmax()].item())
+    return cls.g_array(_map(math.log, x))
+
+
+def exp_g_array(cls: GroupClass, x: np.ndarray) -> np.ndarray:
+    """:func:`exp_g` at every element of x, the limiting edge value included."""
+    lo = cls.domain[0]
+    edge = x == lo if math.isfinite(lo) and cls.t_range[0] == -_INF else np.zeros(x.shape, bool)
+    out = np.zeros(x.shape)
+    inner = x[~edge]
+    cls.require_in_domain_array(inner)
+    out[~edge] = _map(math.exp, cls.g_inv_array(inner))
+    return out
 
 
 def cos_g(cls: GroupClass, x: float) -> float:

@@ -87,6 +87,16 @@ def test_well_domain_error(tmp_path, capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("n_range", ["1..0", "3..1"])
+def test_well_empty_range_exit_3(tmp_path, capsys, n_range):
+    code, out, err = run(
+        ["well", "--L", "1", "--n", n_range, "--out", str(tmp_path)], capsys
+    )
+    assert code == 3
+    assert f"domain error: quantum-number range '{n_range}' is empty" in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
 def test_well_deterministic_output(tmp_path, capsys):
     args = ["well", "--class", "kaniadakis:k=1", "--L", "1", "--n", "1,2"]
     run(args + ["--out", str(tmp_path / "a")], capsys)

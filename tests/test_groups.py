@@ -22,6 +22,7 @@ from groupcalc import (
     sin_g,
     tsallis,
 )
+from groupcalc.groups import exp_g_array, log_g_array
 
 LN2 = 0.6931471805599453
 ASINH1 = 0.8813735870195430
@@ -345,3 +346,44 @@ def test_array_forms_out_of_domain(cls, data):
     for name in ("g_inv", "deformation_factor"):
         want = _outcome(_scalar_loop(getattr(cls, name)), s)
         assert _outcome(getattr(cls, f"{name}_array"), s) == want, name
+
+
+# -- deformed exponential and logarithm over arrays ----------------------------
+
+EXP_LOG_CLASSES = ALL_CLASSES + [tsallis(1.5), abe(1.0, 0.0), series([0.3])]
+
+
+@pytest.mark.parametrize("cls", EXP_LOG_CLASSES, ids=lambda c: c.spec_string())
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_exp_g_array_matches_scalar(cls, data):
+    # Points where the scalar returns, with some of the domain edges and
+    # non-finite values mixed in: the lower edge is exp_g's limit value 0.0
+    # where G^-1 diverges there, every other one a DomainError.
+    scalar = _scalar_loop(lambda v: exp_g(cls, v))
+    points = [v for v in data.draw(_arguments(cls))
+              if not isinstance(_outcome(scalar, np.array([v])), tuple)]
+    odd = [*cls.domain, math.nan]
+    points += data.draw(st.lists(st.sampled_from(odd), max_size=2))
+    s = np.array(data.draw(st.permutations(points)))
+    assert _outcome(lambda x: exp_g_array(cls, x), s) == _outcome(scalar, s)
+
+
+@pytest.mark.parametrize("cls", EXP_LOG_CLASSES, ids=lambda c: c.spec_string())
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_log_g_array_matches_scalar(cls, data):
+    x = data.draw(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=40)) + [1.0]
+    if data.draw(st.booleans()):
+        bad = data.draw(st.sampled_from([0.0, -0.0, -1.5, -math.inf]))
+        x.insert(data.draw(st.integers(0, len(x))), bad)
+    x = np.array(x)
+    want = _outcome(_scalar_loop(lambda v: log_g(cls, v)), x)
+    assert _outcome(lambda v: log_g_array(cls, v), x) == want
+
+
+def test_exp_g_array_edge_value():
+    assert exp_g_array(tsallis(0.5), np.array([-2.0, 0.0])).tolist() == [0.0, 1.0]
+    assert exp_g_array(abe(1.0, 0.0), np.array([0.0, -1.0])).tolist() == [1.0, 0.0]
+    with pytest.raises(DomainError, match="-2.5"):
+        exp_g_array(tsallis(0.5), np.array([0.0, -2.0, -2.5]))
