@@ -4,7 +4,9 @@ The additive family conjugates ordinary addition through the generator,
 ``x (+) y = G(G^{-1}(x) + G^{-1}(y))``, and the multiplicative family
 conjugates it through the deformed exponential/logarithm pair,
 ``x (*) y = exp_g(log_g x + log_g y)``.  For the identity class both reduce
-bit-for-bit to ordinary arithmetic.
+bit-for-bit to ordinary arithmetic.  The multiplicative family never clamps:
+where a closed form clamps its base ``[.]_+`` to zero, the argument of exp_g
+leaves the domain of G^{-1} and the operation raises DomainError.
 
 The coordinate maps return plain numbers: ``deform`` gives the deformed
 coordinate x_g = G^{-1}(x) and ``dual_deform`` the dual coordinate G(x).
@@ -75,22 +77,16 @@ def cutoff_pow_array(base: np.ndarray, exponent: float) -> tuple[np.ndarray, np.
 
 def g_sum(cls: GroupClass, x: float, y: float) -> float:
     """Generalized sum G(G^{-1}(x) + G^{-1}(y))."""
-    if cls.is_identity:
-        return x + y
     return cls.g(cls.g_inv(x) + cls.g_inv(y))
 
 
 def g_sub(cls: GroupClass, x: float, y: float) -> float:
     """Generalized difference G(G^{-1}(x) - G^{-1}(y))."""
-    if cls.is_identity:
-        return x - y
     return cls.g(cls.g_inv(x) - cls.g_inv(y))
 
 
 def g_neg(cls: GroupClass, x: float) -> float:
     """Additive inverse G(-G^{-1}(x)); g_sum(x, g_neg(x)) = 0."""
-    if cls.is_identity:
-        return -x
     return cls.g(-cls.g_inv(x))
 
 
@@ -162,8 +158,6 @@ def g_integer(cls: GroupClass, n: int) -> GInteger:
     if n != int(n):
         raise DomainError(f"g_integer needs an integer, got {n!r}")
     n = int(n)
-    if cls.is_identity:
-        return GInteger(n, float(n), cls)
     t = n * cls.g_inv(1.0)
     t_lo, t_hi = cls.t_range
     if not t_lo <= t <= t_hi:
@@ -207,6 +201,4 @@ def dual_g_sum(cls: GroupClass, x: float, y: float) -> float:
     Chosen so that dual_deform is an exact additive homomorphism:
     dual_deform(dual_g_sum(x, y)) = dual_deform(x) + dual_deform(y).
     """
-    if cls.is_identity:
-        return x + y
     return cls.g_inv(cls.g(x) + cls.g(y))

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, QUAD_BACKENDS, Tolerances
 from .errors import DomainError, ToleranceNotMet
 from .groups import GroupClass
 
@@ -156,14 +156,14 @@ def _gauss16(f, a, b, abs_tol, max_depth):
     raise ToleranceNotMet(f"Gauss-Legendre doubling exceeded {max_depth} rounds on [{a}, {b}]")
 
 
+_QUADRATURE = dict(zip(QUAD_BACKENDS, (_adaptive_simpson, _gauss16)))
+
+
 def integrate(f, a: float, b: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Plain definite integral with the configured backend."""
     if a == b:
         return 0.0
-    f = as_func(f)
-    if tol.quad_backend == "gauss16":
-        return _gauss16(f, a, b, tol.quad_abs, tol.quad_max_depth)
-    return _adaptive_simpson(f, a, b, tol.quad_abs, tol.quad_max_depth)
+    return _QUADRATURE[tol.quad_backend](as_func(f), a, b, tol.quad_abs, tol.quad_max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,6 @@ def g_integral(
       integrate f(G(u)) du over [G^{-1}(a), G^{-1}(b)].
     """
     f = as_func(f)
-    if cls.is_identity:
-        return integrate(f, a, b, tol)
     if method == "substitution":
         ua, ub = cls.g_inv(a), cls.g_inv(b)
         return integrate(lambda u: f(cls.g(u)), ua, ub, tol)
@@ -210,8 +208,6 @@ def dual_g_integral(
 ) -> float:
     """Dual deformed integral: f(x) G'(x) dx over [a, b]."""
     f = as_func(f)
-    if cls.is_identity:
-        return integrate(f, a, b, tol)
     if method == "substitution":
         va, vb = cls.g(a), cls.g(b)
         return integrate(lambda v: f(cls.g_inv(v)), va, vb, tol)

@@ -1,15 +1,15 @@
 """Command-line interface.
 
-Commands: eval, well, solve, check, repl.  Exit codes: 0 success, 1 failed
-check, 2 parse error, 3 domain error, 4 convergence/tolerance failure,
-5 I/O error.  Configuration precedence: command-line flags, then the file
-named by GROUPCALC_CONFIG, then built-in defaults.
+Commands: eval, well, solve, check, repl.  Exit code 0 is success and 1 a
+failed check; a failure exits with the code and ``label: message`` line of
+``errors.exit_status``, tabulated under "Exit codes" in the README.
+Configuration precedence: command-line flags, then the file named by
+GROUPCALC_CONFIG, then built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -18,14 +18,8 @@ import numpy as np
 
 from . import checks, exprlang, tables, well as well_mod
 from .calculus import Func1D, func_from_samples
-from .config import DEFAULT_TOLERANCES, Tolerances, parse_tolerance_overrides
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ParseError,
-    ToleranceNotMet,
-    require_positive_scale,
-)
+from .config import DEFAULT_TOLERANCES, Spec, Tolerances, parse_items, parse_tolerance_overrides
+from .errors import REPORTED, DomainError, exit_status
 from .groups import parse_class_spec
 from .spectral import (
     SPACE_G,
@@ -38,10 +32,6 @@ from .spectral import (
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_CONVERGENCE = 4
-EXIT_IO = 5
 
 
 @dataclass
@@ -54,25 +44,11 @@ class RunConfig:
     fmt: str = "csv"  # "csv" | "structured-text"
     tol: Tolerances = DEFAULT_TOLERANCES
 
-    def __post_init__(self):
-        if self.n_points < 3:
-            raise ValueError("N must be >= 3")
-        require_positive_scale("hbar", self.hbar)
-        require_positive_scale("m0", self.m0)
-
 
 def _read_config_file(path: str) -> dict:
-    values = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"bad config line {line!r} in {path}")
-            values[key.strip()] = value.strip()
-    return values
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    return parse_items(lines, f"config line in {path}")
 
 
 def _build_config(args) -> RunConfig:
@@ -103,42 +79,27 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _parse_n_list(spec: str) -> list[int]:
-    """Quantum-number list: "3", "1,2,5" or "1..4"."""
-    spec = spec.strip()
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        n_list = list(range(int(lo), int(hi) + 1))
-        if not n_list:
-            raise DomainError(f"quantum-number range {spec!r} is empty")
-        return n_list
-    return [int(part) for part in spec.split(",")]
+def _parse_n_list(spec: str):
+    """Quantum numbers: "3", "1,2,5" or "1..4" (a range, never expanded)."""
+    lo, dots, hi = spec.strip().partition("..")
+    n_list = range(int(lo), int(hi) + 1) if dots else [int(part) for part in spec.split(",")]
+    if not n_list:
+        raise DomainError(f"quantum-number range {spec!r} is empty")
+    return n_list
 
 
-def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _parse_potential(spec: str):
-    name, _, args = spec.partition(":")
+def _parse_potential(text: str):
+    name, _, path = text.partition(":")
     if name == "file":
-        data = np.loadtxt(args, delimiter=",", skiprows=1)
-        return CallablePotential(func_from_samples(data[:, 0], data[:, 1]))
-    kv = {}
-    if args:
-        for item in args.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad potential spec {spec!r}")
-            kv[key.strip()] = raw.strip()
-    if name == "well":
-        return InfiniteWell(_require_finite("well:L", float(kv["L"])))
-    if name == "harmonic":
-        omega = _require_finite("harmonic:omega", float(kv["omega"]))
-        return CallablePotential(lambda x: 0.5 * omega * omega * x * x)
-    raise ValueError(f"unknown potential {spec!r}")
+        xs, vs = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2, unpack=True)
+        return CallablePotential(func_from_samples(xs, vs))
+    spec = Spec(text)
+    if spec.name == "well":
+        return spec.finish(InfiniteWell(spec.number("L")))
+    if spec.name == "harmonic":
+        omega = spec.number("omega")
+        return spec.finish(CallablePotential(lambda x: 0.5 * omega * omega * x * x))
+    raise ValueError(f"unknown potential {text!r}")
 
 
 def _emit_table(cfg: RunConfig, title: str, header: list[str], rows) -> None:
@@ -180,19 +141,19 @@ def cmd_well(args) -> int:
         [sol.n] + [well_mod.spacing(sol, m) for m in range(1, sol.n + 1)] for sol in sols
     ]
 
+    # the probability tables go first: a bad --samples fails before any write
     out = cfg.out
-    tables.write_csv(os.path.join(out, "energies.csv"), energies, header="n,energy", comment=comment)
-    tables.write_csv(os.path.join(out, "zeros.csv"), zero_rows, comment=comment + " columns=n,z0..zn")
-    tables.write_csv(os.path.join(out, "spacings.csv"), spacing_rows, comment=comment + " columns=n,d1..dn")
+    col = "x_over_L" if args.sampling == "x" else "xg_over_Lg"
     for sol in sols:
-        table = well_mod.probability_table(sol, args.samples, sampling=args.sampling)
-        col = "x_over_L" if args.sampling == "x" else "xg_over_Lg"
         tables.write_csv(
             os.path.join(out, f"well_prob_n{sol.n}.csv"),
-            table,
+            well_mod.probability_table(sol, args.samples, sampling=args.sampling),
             header=f"{col},prob_density_normalized",
             comment=f"{comment} n={sol.n}",
         )
+    tables.write_csv(os.path.join(out, "energies.csv"), energies, header="n,energy", comment=comment)
+    tables.write_csv(os.path.join(out, "zeros.csv"), zero_rows, comment=comment + " columns=n,z0..zn")
+    tables.write_csv(os.path.join(out, "spacings.csv"), spacing_rows, comment=comment + " columns=n,d1..dn")
     _emit_table(cfg, "energies", ["n", "energy"], energies)
     return EXIT_OK
 
@@ -329,22 +290,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_number_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error at offset {exc.offset}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ConvergenceError, ToleranceNotMet) as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-
+    except REPORTED as exc:
+        code, line = exit_status(exc)
+        print(line, file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the check of the
-physical scales hbar and m0 that every entry point applies."""
+"""Exception types shared across the package, the two validity checks every
+entry point applies to its numbers, and the one table that maps an exception
+to its exit code and stderr line for the CLI and the REPL."""
 
 import math
 
@@ -34,7 +35,40 @@ class ParseError(GroupCalcError, ValueError):
         self.expected = tuple(expected)
 
 
-def require_positive_scale(name: str, value: float) -> None:
-    """Raise DomainError unless ``value`` is finite and > 0."""
+def require_finite(name: str, value: float) -> float:
+    """``value``, or DomainError unless it is finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_positive(name: str, value: float) -> float:
+    """``value``, or DomainError unless it is finite and > 0."""
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+# (exception type, exit code, label); the first row whose type matches wins.
+# A ValueError that is none of the typed errors comes from a library check
+# (a malformed spec, an unknown name) and is reported here, once.
+_EXIT_TABLE = (
+    (ParseError, 2, "parse error"),
+    (DomainError, 3, "domain error"),
+    (ConvergenceError, 4, "convergence failure"),
+    (ToleranceNotMet, 4, "convergence failure"),
+    (OSError, 5, "i/o error"),
+    (ValueError, 3, "error"),
+)
+
+#: the exception types :func:`exit_status` reports
+REPORTED = tuple(row[0] for row in _EXIT_TABLE)
+
+
+def exit_status(exc: BaseException) -> tuple[int, str]:
+    """(exit code, ``label: message`` line) of an exception of a REPORTED type."""
+    for kind, code, label in _EXIT_TABLE:
+        if isinstance(exc, kind):
+            if isinstance(exc, ParseError):
+                label += f" at offset {exc.offset}"
+            return code, f"{label}: {exc}"

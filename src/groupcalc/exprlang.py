@@ -7,7 +7,8 @@ bind tighter than additive ones; everything is left-associative.
 
 Functions: expG, logG, cosG, sinG, deform, dualdeform (arity 1), gint(n),
 gpow(x, n).  Numbers are decimal literals with an optional exponent; ``gint``
-and ``gpow`` insist their count argument is an integer.
+and ``gpow`` insist their count argument is an integer.  An expression may
+nest at most ``MAX_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
@@ -17,15 +18,23 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import algebra, groups
-from .errors import DomainError, GroupCalcError, ParseError
+from .errors import REPORTED, DomainError, ParseError, exit_status
 from .groups import GroupClass
 
 # -- tokens ------------------------------------------------------------------
 
 _DEFORMED_ALIAS = {"⊕": "g+", "⊖": "g-", "⊗": "g*", "⊘": "g/"}
 _DEFORMED_ASCII = {"+": "g+", "-": "g-", "*": "g*", "/": "g/"}
+# operator token text -> operator name; one-character token text -> token kind
+_OP_NAMES = {c: c for c in "+-*/"} | _DEFORMED_ALIAS
+_OP_NAMES |= {f"({c})": name for c, name in _DEFORMED_ASCII.items()}
+_SINGLE = {c: "op" for c in _OP_NAMES if len(c) == 1} | {")": "rparen", ",": "comma"}
 _ADDITIVE = {"+", "-", "g+", "g-"}
 _MULTIPLICATIVE = {"*", "/", "g*", "g/"}
+
+#: most levels of nesting (parentheses, calls, unary minus) and of operators
+#: above a leaf that an expression may have; keeps every recursion short
+MAX_DEPTH = 100
 
 
 class Token(NamedTuple):
@@ -43,12 +52,8 @@ def _tokenize(source: str) -> list[Token]:
         if c.isspace():
             i += 1
             continue
-        if c in _DEFORMED_ALIAS:
-            tokens.append(Token("op", c, i))
-            i += 1
-            continue
-        if c in "+-*/":
-            tokens.append(Token("op", c, i))
+        if c in _SINGLE:
+            tokens.append(Token(_SINGLE[c], c, i))
             i += 1
             continue
         if c == "(":
@@ -59,14 +64,6 @@ def _tokenize(source: str) -> list[Token]:
             else:
                 tokens.append(Token("lparen", c, i))
                 i += 1
-            continue
-        if c == ")":
-            tokens.append(Token("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(Token("comma", c, i))
-            i += 1
             continue
         if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
             j = i
@@ -98,14 +95,6 @@ def _tokenize(source: str) -> list[Token]:
         raise ParseError(f"unexpected character {c!r}", i, ())
     tokens.append(Token("end", "", n))
     return tokens
-
-
-def _op_name(tok: Token) -> str:
-    if tok.text in _DEFORMED_ALIAS:
-        return _DEFORMED_ALIAS[tok.text]
-    if len(tok.text) == 3:  # "(+)"
-        return _DEFORMED_ASCII[tok.text[1]]
-    return tok.text
 
 
 # -- syntax tree ---------------------------------------------------------------
@@ -159,10 +148,14 @@ Expr = object  # Num | Var | Neg | BinOp | Call
 
 
 class _Parser:
+    """Recursive descent; each rule returns ``(node, height)``, where height
+    counts the operator and call levels below the node, so evaluating and
+    printing recurse ``height`` frames deep."""
+
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0  # parentheses, calls and unary minus open at pos
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -180,7 +173,7 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node = self.expression()
+        node, _ = self.expression()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(
@@ -188,45 +181,49 @@ class _Parser:
             )
         return node
 
-    def expression(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and _op_name(self.peek()) in _ADDITIVE:
-            tok = self.advance()
-            node = BinOp(_op_name(tok), node, self.term(), tok.offset)
-        return node
+    def expression(self):
+        return self.chain(self.term, _ADDITIVE)
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind == "op" and _op_name(self.peek()) in _MULTIPLICATIVE:
-            tok = self.advance()
-            node = BinOp(_op_name(tok), node, self.factor(), tok.offset)
-        return node
+    def term(self):
+        return self.chain(self.factor, _MULTIPLICATIVE)
 
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            operand = self.factor()
-            if isinstance(operand, Num):  # fold literal
-                return Num(-operand.value, tok.offset)
-            return Neg(operand, tok.offset)
+    def chain(self, operand, ops):
+        """Left-associative run of ``operand``s joined by operators in ``ops``."""
+        node, height = operand()
+        while self.peek().kind == "op" and _OP_NAMES[self.peek().text] in ops:
+            tok = self.advance()
+            right, right_height = operand()
+            height = _deeper(max(height, right_height), tok)
+            node = BinOp(_OP_NAMES[tok.text], node, right, tok.offset)
+        return node, height
+
+    def factor(self):
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
-            return Num(tok.value, tok.offset)
+            return Num(tok.value, tok.offset), 0
+        if tok.kind == "ident" and self.peek().kind != "lparen":
+            return Var(tok.text, tok.offset), 0
+        if not (tok.kind in ("lparen", "ident") or tok.text == "-"):
+            got = tok.text or "end of input"
+            raise ParseError(
+                f"expected an operand, found {got!r}", tok.offset, ("number", "function", "'('")
+            )
+        self.nesting = _deeper(self.nesting, tok)
         if tok.kind == "lparen":
-            self.advance()
-            node = self.expression()
+            node, height = self.expression()
             self.expect("rparen", "')'")
-            return node
-        if tok.kind == "ident":
-            self.advance()
-            if self.peek().kind == "lparen":
-                return self.call(tok)
-            return Var(tok.text, tok.offset)
-        got = tok.text or "end of input"
-        raise ParseError(f"expected an operand, found {got!r}", tok.offset, ("number", "function", "'('"))
+        elif tok.kind == "ident":
+            node, height = self.call(tok)
+        else:
+            node, height = self.factor()
+            if isinstance(node, Num):  # fold literal
+                node = Num(-node.value, tok.offset)
+            else:
+                node, height = Neg(node, tok.offset), _deeper(height, tok)
+        self.nesting -= 1
+        return node, height
 
-    def call(self, name_tok: Token) -> Expr:
+    def call(self, name_tok: Token):
         name = name_tok.text
         if name not in _FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", name_tok.offset, tuple(sorted(_FUNCTIONS)))
@@ -243,7 +240,15 @@ class _Parser:
                 name_tok.offset,
                 (f"{arity} argument(s)",),
             )
-        return Call(name, tuple(args), name_tok.offset)
+        nodes, heights = zip(*args)
+        return Call(name, nodes, name_tok.offset), _deeper(max(heights), name_tok)
+
+
+def _deeper(height: int, tok: Token) -> int:
+    """One level above ``height``; ParseError at tok past MAX_DEPTH levels."""
+    if height >= MAX_DEPTH:
+        raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.offset, ())
+    return height + 1
 
 
 def parse(source: str) -> Expr:
@@ -291,10 +296,10 @@ def print_expr(node: Expr) -> str:
 # -- evaluation ------------------------------------------------------------------
 
 
-def _as_int(value: float, what: str, offset: int) -> int:
+def _as_int(value: float, what: str) -> int:
     # an infinity makes int() raise OverflowError, which _eval reports as overflow
     if math.isnan(value) or value != int(value):
-        raise DomainError(f"{what} must be an integer, got {value!r} (at offset {offset})")
+        raise DomainError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -304,12 +309,7 @@ def evaluate(node: Expr, cls: GroupClass) -> float:
     Division by zero and float overflow inside the group operations are
     raised as DomainError too.
     """
-    try:
-        return _eval(node, cls)
-    except DomainError:
-        raise
-    except ZeroDivisionError:
-        raise DomainError(f"division by zero (at offset {node.offset})") from None
+    return _eval(node, cls)
 
 
 def _eval(node: Expr, cls: GroupClass) -> float:
@@ -320,57 +320,51 @@ def _eval(node: Expr, cls: GroupClass) -> float:
     if isinstance(node, Neg):
         return -_eval(node.operand, cls)
     if isinstance(node, BinOp):
-        left = _eval(node.left, cls)
-        right = _eval(node.right, cls)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                if right == 0.0:
-                    raise ZeroDivisionError
-                return left / right
-            if node.op == "g+":
-                return algebra.g_sum(cls, left, right)
-            if node.op == "g-":
-                return algebra.g_sub(cls, left, right)
-            if node.op == "g*":
-                return algebra.g_prod(cls, left, right)
-            return algebra.g_div(cls, left, right)
-        except DomainError as exc:
-            raise DomainError(f"{exc} (at offset {node.offset})") from None
-        except OverflowError as exc:
-            raise DomainError(f"overflow: {exc} (at offset {node.offset})") from None
-    if isinstance(node, Call):
+        op, x, y = node.op, _eval(node.left, cls), _eval(node.right, cls)
+    elif isinstance(node, Call):
         args = [_eval(a, cls) for a in node.args]
-        try:
-            if node.name == "expG":
-                return groups.exp_g(cls, args[0])
-            if node.name == "logG":
-                return groups.log_g(cls, args[0])
-            if node.name == "cosG":
-                return groups.cos_g(cls, args[0])
-            if node.name == "sinG":
-                return groups.sin_g(cls, args[0])
-            if node.name == "deform":
-                return algebra.deform(cls, args[0])
-            if node.name == "dualdeform":
-                return algebra.dual_deform(cls, args[0])
-            if node.name == "gint":
-                n = _as_int(args[0], "gint argument", node.offset)
-                return algebra.g_integer(cls, n).value
-            n = _as_int(args[1], "gpow exponent", node.offset)
-            return algebra.g_pow(cls, args[0], n)
-        except DomainError as exc:
-            if "(at offset" in str(exc):
-                raise
-            raise DomainError(f"{exc} (at offset {node.offset})") from None
-        except OverflowError as exc:
-            raise DomainError(f"overflow: {exc} (at offset {node.offset})") from None
-    raise TypeError(f"not an expression node: {node!r}")
+        op, x, y = node.name, args[0], args[-1]
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    # the operands are evaluated: an error below names this node's offset
+    try:
+        if op == "+":
+            return x + y
+        if op == "-":
+            return x - y
+        if op == "*":
+            return x * y
+        if op == "/":
+            return x / y
+        if op == "g+":
+            return algebra.g_sum(cls, x, y)
+        if op == "g-":
+            return algebra.g_sub(cls, x, y)
+        if op == "g*":
+            return algebra.g_prod(cls, x, y)
+        if op == "g/":
+            return algebra.g_div(cls, x, y)
+        if op == "expG":
+            return groups.exp_g(cls, x)
+        if op == "logG":
+            return groups.log_g(cls, x)
+        if op == "cosG":
+            return groups.cos_g(cls, x)
+        if op == "sinG":
+            return groups.sin_g(cls, x)
+        if op == "deform":
+            return algebra.deform(cls, x)
+        if op == "dualdeform":
+            return algebra.dual_deform(cls, x)
+        if op == "gint":
+            return algebra.g_integer(cls, _as_int(x, "gint argument")).value
+        return algebra.g_pow(cls, x, _as_int(y, "gpow exponent"))
+    except DomainError as exc:
+        raise DomainError(f"{exc} (at offset {node.offset})") from None
+    except OverflowError as exc:
+        raise DomainError(f"overflow: {exc} (at offset {node.offset})") from None
+    except ZeroDivisionError:
+        raise DomainError(f"division by zero (at offset {node.offset})") from None
 
 
 def eval_source(source: str, cls: GroupClass) -> float:
@@ -381,26 +375,24 @@ def eval_source(source: str, cls: GroupClass) -> float:
 
 
 def run_repl(stdin, stdout, stderr, cls: GroupClass) -> int:
-    """One expression per line; ``class <spec>`` switches the active class."""
+    """One expression per line; ``class <spec>`` switches the active class.
+
+    A failing line is reported as the CLI reports it and the session goes on.
+    """
     for raw in stdin:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line in ("quit", "exit"):
             break
-        if line.startswith("class "):
-            try:
-                cls = groups.parse_class_spec(line[len("class "):])
-                print(f"class {cls.spec_string()}", file=stdout)
-            except ValueError as exc:
-                print(f"error: {exc}", file=stderr)
-            continue
         try:
-            print(format(eval_source(line, cls), ".12g"), file=stdout)
-        except ParseError as exc:
-            print(f"parse error at offset {exc.offset}: {exc}", file=stderr)
-        except DomainError as exc:
-            print(f"domain error: {exc}", file=stderr)
-        except GroupCalcError as exc:
-            print(f"error: {exc}", file=stderr)
+            if line.startswith("class "):
+                cls = groups.parse_class_spec(line[len("class "):])
+                result = f"class {cls.spec_string()}"
+            else:
+                result = format(eval_source(line, cls), ".12g")
+        except REPORTED as exc:
+            print(exit_status(exc)[1], file=stderr)
+        else:
+            print(result, file=stdout)
     return 0

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Spec, Tolerances
 from .errors import ConvergenceError, DomainError
 
 _INF = math.inf
@@ -752,46 +752,22 @@ def parse_class_spec(spec: str) -> GroupClass:
         abe:a=<float>,b=<float>
         series:a1=<float>,a2=<float>,...[,order=<int>]
     """
-    text = spec.strip().lower()
-    name, _, args = text.partition(":")
-    kv = {}
-    if args:
-        for item in args.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad class spec {spec!r}: expected key=value, got {item!r}")
-            kv[key.strip()] = raw.strip()
-
-    def number(key: str) -> float:
-        value = float(kv.pop(key))
-        if not math.isfinite(value):
-            raise ValueError(f"class spec {spec!r}: {key} must be finite, got {value!r}")
-        return value
-
-    try:
-        if name == "bg":
-            if kv:
-                raise ValueError(f"bg takes no parameters, got {spec!r}")
-            return BG
-        if name == "tsallis":
-            return tsallis(number("q"))
-        if name == "kaniadakis":
-            key = "k" if "k" in kv else "kappa"
-            return kaniadakis(number(key))
-        if name == "abe":
-            return abe(number("a"), number("b"))
-        if name == "series":
-            order = int(kv.pop("order")) if "order" in kv else None
-            coeffs = []
-            k = 1
-            while f"a{k}" in kv:
-                coeffs.append(number(f"a{k}"))
-                k += 1
-            if kv:
-                raise ValueError(f"unrecognized series parameters {sorted(kv)} in {spec!r}")
-            if not coeffs:
-                raise ValueError(f"series spec needs at least a1, got {spec!r}")
-            return series(coeffs, order)
-    except KeyError as missing:
-        raise ValueError(f"class spec {spec!r} is missing parameter {missing}") from None
+    parsed = Spec(spec.strip().lower())
+    name, number, params, finish = parsed.name, parsed.number, parsed.params, parsed.finish
+    if name == "bg":
+        return finish(BG)
+    if name == "tsallis":
+        return finish(tsallis(number("q")))
+    if name == "kaniadakis":
+        return finish(kaniadakis(number("k" if "k" in params else "kappa")))
+    if name == "abe":
+        return finish(abe(number("a"), number("b")))
+    if name == "series":
+        order = int(params.pop("order")) if "order" in params else None
+        coeffs = []
+        while f"a{len(coeffs) + 1}" in params:
+            coeffs.append(number(f"a{len(coeffs) + 1}"))
+        if not coeffs:
+            raise ValueError(f"series spec needs at least a1, got {spec!r}")
+        return finish(series(coeffs, order))
     raise ValueError(f"unknown class {name!r} in spec {spec!r}")

@@ -50,11 +50,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import ConvergenceError, DomainError, require_positive_scale
+from .errors import ConvergenceError, DomainError, require_positive
 from .groups import GroupClass
 
 SPACE_X = "x"
 SPACE_G = "g"
+
+#: most nodes a grid may have; checked before anything is allocated
+MAX_GRID_POINTS = 1_000_000
 
 
 class Tridiagonal(NamedTuple):
@@ -83,12 +86,15 @@ class Grid:
     space: str = SPACE_X
 
     def __post_init__(self):
-        if self.n_points < 3:
-            raise ValueError("grid needs at least 3 points")
+        if not 3 <= self.n_points <= MAX_GRID_POINTS:
+            raise DomainError(f"grid needs 3 to {MAX_GRID_POINTS} points, got {self.n_points}")
         if not self.end > self.start:
             raise ValueError("grid needs end > start")
         if self.space not in (SPACE_X, SPACE_G):
             raise ValueError(f"unknown coordinate space {self.space!r}")
+        h = self.spacing  # the stencils divide by h * h
+        if not 0.0 < h * h < math.inf:
+            raise DomainError(f"grid spacing {h!r} is out of range: its square is {h * h!r}")
 
     @property
     def spacing(self) -> float:
@@ -146,8 +152,7 @@ class InfiniteWell:
     L: float
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("well width must be positive")
+        require_positive("well:L", self.L)
 
     def value_x(self, x: float) -> float:
         return 0.0
@@ -456,12 +461,10 @@ def solve_eigen(
     if tol.eigen_backend == "ql":
         energies, vectors = eigh_tridiagonal(d, off, select="a", lapack_driver="stev")
         energies, vectors = energies[:k], vectors[:, :k]
-    elif tol.eigen_backend == "sturm":
+    else:  # "sturm", the other name of config.EIGEN_BACKENDS
         energies, vectors = eigh_tridiagonal(
             d, off, select="i", select_range=(0, k - 1), lapack_driver="stebz"
         )
-    else:
-        raise ValueError(f"unknown eigen backend {tol.eigen_backend!r}")
 
     d_ld = d.astype(np.longdouble)
     e_ld = off.astype(np.longdouble)
@@ -551,8 +554,8 @@ def solve_box(
     finite and > 0.  Path "g" solves on the uniform grid in u = G^{-1}(x)
     between the images of the walls, path "x" on the uniform plain-x grid.
     """
-    require_positive_scale("hbar", hbar)
-    require_positive_scale("m0", m0)
+    require_positive("hbar", hbar)
+    require_positive("m0", m0)
     for edge in (xmin, xmax):
         cls.require_in_domain(edge, "box edge")
     if path == SPACE_G:

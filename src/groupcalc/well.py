@@ -14,13 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import g_sum
-from .errors import DomainError, require_positive_scale
+from .errors import DomainError, require_positive
 from .groups import GroupClass
+
+#: largest quantum number, and most samples of a probability table; both are
+#: checked before anything is allocated
+MAX_QUANTUM_NUMBER = 1000
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
 class WellSolution:
-    """Quantum number n >= 1 of a width-L well under a group class."""
+    """Quantum number 1 <= n <= MAX_QUANTUM_NUMBER of a width-L well under a group class."""
 
     group_class: GroupClass
     L: float
@@ -30,12 +35,11 @@ class WellSolution:
     L_g: float = field(init=False)
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("well width must be positive")
-        if self.n < 1:
-            raise ValueError("quantum number starts at n = 1")
-        require_positive_scale("hbar", self.hbar)
-        require_positive_scale("m0", self.m0)
+        require_positive("L", self.L)
+        if not 1 <= self.n <= MAX_QUANTUM_NUMBER:
+            raise DomainError(f"quantum number must be in [1, {MAX_QUANTUM_NUMBER}], got {self.n}")
+        require_positive("hbar", self.hbar)
+        require_positive("m0", self.m0)
         for edge in (0.0, self.L):
             self.group_class.require_in_domain(edge, "well edge")
         object.__setattr__(self, "L_g", self.group_class.g_inv(self.L))
@@ -142,8 +146,8 @@ def probability_table(
     probability density divided by the squared deformed-space amplitude,
     which makes the undeformed table sit in [0, 1].
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    if not 2 <= n_samples <= MAX_SAMPLES:
+        raise DomainError(f"samples must be in [2, {MAX_SAMPLES}], got {n_samples}")
     out = np.empty((n_samples, 2))
     ratios = np.linspace(0.0, 1.0, n_samples)
     a_sq = sol.norm_constant**2

@@ -411,3 +411,31 @@ def test_q_prod_array_clamp_mask():
 def test_q_twins_reject_the_undeformed_limit():
     with pytest.raises(DomainError, match="q = 1"):
         cf.q_prod_array(1.0, np.array([1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 0.9])
+def test_generic_raises_exactly_where_the_closed_form_clamps(q):
+    # The cutoff policy: where [x**g + y**g - 1]_+ clamps, x (*) y has no
+    # value and the generic product raises DomainError instead of returning
+    # 0.0.  Bases within 1e-12 of 0 may fall on either side by rounding.
+    cls, g = tsallis(q), 1.0 - q
+    rng = np.random.default_rng(303)
+    outcomes = set()
+    for x, y in 10.0 ** rng.uniform(-12.0, 0.5, (400, 2)):
+        for generic, closed, base in (
+            (g_prod, cf.q_prod, x**g + y**g - 1.0),
+            (g_div, cf.q_div, x**g - y**g + 1.0),
+        ):
+            if abs(base) <= 1e-12:
+                continue
+            reset_clamp_flag()
+            closed(q, x, y)
+            try:
+                generic(cls, x, y)
+            except DomainError:
+                raised = True
+            else:
+                raised = False
+            assert raised == clamp_occurred(), (generic.__name__, x, y)
+            outcomes.add(raised)
+    assert outcomes == {True, False}

@@ -197,3 +197,11 @@ def test_checks_pass_near_upper_tsallis_edge(backend):
     # 1/(q-1), where the 3-point stencil's truncation error exceeded 1e-8.
     results = run_checks(tsallis(1.23), Tolerances(quad_backend=backend))
     assert [r.name for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("cls", [BG, tsallis(0.5), kaniadakis(1.0)])
+def test_unknown_integration_method_rejected_for_every_class(cls):
+    # the identity class takes the general route too, with its checks
+    for integral in (g_integral, dual_g_integral):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            integral(cls, lambda x: 1.0, 0.0, 1.0, method="bogus")

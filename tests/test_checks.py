@@ -341,5 +341,13 @@ def test_check_stdout_is_byte_identical(spec):
     assert check_stdout(spec) == CHECK_STDOUT[spec]
 
 
+
+@pytest.mark.parametrize("spec", ["tsallis:q=2", "tsallis:q=3", "series:a1=-1"])
+def test_non_distributivity_witness_scaled_into_the_domain(spec):
+    # every fixed witness triple leaves these domains, so the scaled one stands in
+    line = next(l for l in check_stdout(spec).splitlines() if "non-distributivity" in l)
+    assert line.startswith("PASS ")
+    assert float(line.split("residual=")[1]) > 1e-6
+
 if __name__ == "__main__":
     print(json.dumps({spec: check_stdout(spec) for spec in sorted(SPECS)}, indent=4))
