@@ -11,6 +11,7 @@ Gauss-Legendre with panel doubling, both driven by an absolute tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -131,16 +132,51 @@ def _adaptive_simpson(f, a, b, abs_tol, max_depth):
     return recurse(a, fa, b, fb, 0.5 * (a + b), fm, whole, abs_tol, 0)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def _legval(x, c):
+    """Legendre series sum(c[k] P_k(x)) by numpy's ``legval`` Clenshaw steps."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for ck in c[-3::-1]:
+        nd -= 1
+        c0, c1 = ck - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+@functools.cache
+def _gauss_legendre_16():
+    """Nodes and weights of 16-point Gauss-Legendre quadrature on [-1, 1].
+
+    The steps and roundings of ``np.polynomial.legendre.leggauss(16)``, so
+    the values are its values bit for bit, without importing
+    ``numpy.polynomial`` (a cost every start would pay for one backend).
+    """
+    n = 16
+    p_n = [0.0] * n + [1.0]  # P_16 in the Legendre basis
+    dp_n = [float(2 * k + 1) if k % 2 else 0.0 for k in range(n)]  # its derivative
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]  # the scaled companion matrix
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    df = _legval(x, dp_n)
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _gauss16_panels(f, a, b, panels):
     total = 0.0
+    nodes, weights = _gauss_legendre_16()
     edges = np.linspace(a, b, panels + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        total += half * sum(w * f(mid + half * t) for t, w in zip(_GL_NODES, _GL_WEIGHTS))
+        total += half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
     return total
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the two validity checks every
+"""Exception types shared across the package, the validity checks every
 entry point applies to its numbers, and the one table that maps an exception
 to its exit code and stderr line for the CLI and the REPL."""
 
@@ -47,6 +47,14 @@ def require_positive(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     return value
+
+
+def kinetic_coefficient(hbar: float, m0: float) -> float:
+    """alpha = hbar^2 / (2 m0), or DomainError unless hbar, m0 and alpha are
+    each finite and > 0 (hbar^2 can underflow to 0, and alpha overflow)."""
+    require_positive("hbar", hbar)
+    require_positive("m0", m0)
+    return require_positive("hbar^2/(2 m0)", hbar * hbar / (2.0 * m0))
 
 
 # (exception type, exit code, label); the first row whose type matches wins.

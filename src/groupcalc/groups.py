@@ -586,26 +586,41 @@ def series(coeffs, truncation_order: int | None = None) -> GroupClass:
 
 def _bracketed_invert(g, g_prime, s: float, tol: Tolerances) -> float:
     """Solve g(t) = s: grow a bracket geometrically from [-1, 1], bisect,
-    then polish with safeguarded Newton steps."""
+    then polish with safeguarded Newton steps.
+
+    While the bracket grows and shrinks, a g(t) that overflows counts as
+    +-inf with the sign of t, the limit of an increasing g with g(0) = 0;
+    the root itself may be far from overflow.
+    """
     if s == 0.0:  # G(0) = 0 for every class; keep the fixed point exact
         return 0.0
     lo, hi = -1.0, 1.0
     grew = 0
-    while g(lo) > s:
-        lo *= 2.0
-        grew += 1
-        if grew > 60:
-            raise ConvergenceError(f"failed to bracket inverse for s={s!r}")
+    try:
+        while g(lo) > s:
+            lo *= 2.0
+            grew += 1
+            if grew > 60:
+                raise ConvergenceError(f"failed to bracket inverse for s={s!r}")
+    except OverflowError:  # g(lo) = -inf lies below s
+        pass
     grew = 0
-    while g(hi) < s:
-        hi *= 2.0
-        grew += 1
-        if grew > 60:
-            raise ConvergenceError(f"failed to bracket inverse for s={s!r}")
+    try:
+        while g(hi) < s:
+            hi *= 2.0
+            grew += 1
+            if grew > 60:
+                raise ConvergenceError(f"failed to bracket inverse for s={s!r}")
+    except OverflowError:  # g(hi) = +inf lies above s
+        pass
 
     for _ in range(80):  # bisection down to a short interval
         mid = 0.5 * (lo + hi)
-        if g(mid) < s:
+        try:
+            below = g(mid) < s
+        except OverflowError:
+            below = mid < 0.0
+        if below:
             lo = mid
         else:
             hi = mid
@@ -623,6 +638,22 @@ def _bracketed_invert(g, g_prime, s: float, tol: Tolerances) -> float:
     raise ConvergenceError(f"Newton polish did not converge for s={s!r}")
 
 
+def _g_or_inf(g, t: np.ndarray) -> np.ndarray:
+    """g(t), where an element whose g overflows takes +-inf with its sign:
+    the rule of the scalar bracket, which guards each g call with ``try``."""
+    try:
+        return g(t)
+    except OverflowError:
+        pass
+    out = np.empty(t.shape)
+    for i, ti in enumerate(t.tolist()):
+        try:
+            out[i] = g(t[i : i + 1])[0]
+        except OverflowError:
+            out[i] = math.copysign(_INF, ti)
+    return out
+
+
 def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Masked vector copy of :func:`_bracketed_invert` over the elements of s.
 
@@ -638,7 +669,7 @@ def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> n
     for edge, outside in ((lo, np.greater), (hi, np.less)):
         active = live
         for _ in range(61):  # the scalar gives up after 60 doublings
-            active = active[outside(g(edge[active]), s[active])]
+            active = active[outside(_g_or_inf(g, edge[active]), s[active])]
             edge[active] *= 2.0
             if not active.size:
                 break
@@ -653,7 +684,7 @@ def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> n
             break
         l, h = lo[active], hi[active]
         mid = 0.5 * (l + h)
-        below = g(mid) < s[active]
+        below = _g_or_inf(g, mid) < s[active]
         l, h = np.where(below, mid, l), np.where(below, h, mid)
         lo[active], hi[active] = l, h
         active = active[~(h - l < 1e-6 * (1.0 + np.abs(mid)))]

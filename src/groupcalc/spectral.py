@@ -18,7 +18,8 @@ plus inverse iteration, refining each pair with one extended precision
 inverse-iteration step.  Non-symmetric bands are first reduced to a
 symmetric tridiagonal matrix by an exact diagonal similarity (the discrete
 counterpart of the sqrt(A) wavefunction rescaling, which itself is exposed as
-:func:`transform_state`).
+:func:`transform_state`).  LAPACK comes from scipy, which is imported at the
+first eigensolve, not with this module.
 
 ``solve_box`` is the one route from a potential in the hard-walled box
 [xmin, xmax] to its spectrum: it checks both walls against the class
@@ -47,10 +48,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import eigh_tridiagonal  # looked up at each call, so it can be replaced
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import ConvergenceError, DomainError, kinetic_coefficient, require_positive
 from .groups import GroupClass
 
 SPACE_X = "x"
@@ -302,7 +303,7 @@ def hamiltonian_xspace(
     for x in (nodes[0], nodes[-1]):
         cls.require_in_domain(x)
     h = grid.spacing
-    alpha = hbar * hbar / (2.0 * m0)
+    alpha = kinetic_coefficient(hbar, m0)
     inner = nodes[1:-1]
     u, _ = _x_samples(cls, grid)
     a, da, d2a = cls.deformation_derivs_array(inner, u[1:-1])
@@ -337,7 +338,7 @@ def hamiltonian_gspace(
     if grid.space != SPACE_G:
         raise ValueError("hamiltonian_gspace expects a deformed-coordinate grid")
     h = grid.spacing
-    alpha = hbar * hbar / (2.0 * m0)
+    alpha = kinetic_coefficient(hbar, m0)
     inner_u = grid.nodes[1:-1]
     xs = cls.g_array(inner_u)
     v = _potential_values(potential, xs)
@@ -550,12 +551,12 @@ def solve_box(
 ) -> Spectrum:
     """Lowest k states in the hard-walled box [xmin, xmax], on either path.
 
-    Both walls must lie inside the class domain, and hbar and m0 must be
-    finite and > 0.  Path "g" solves on the uniform grid in u = G^{-1}(x)
-    between the images of the walls, path "x" on the uniform plain-x grid.
+    Both walls must lie inside the class domain, and hbar, m0 and
+    hbar^2/(2 m0) must be finite and > 0.  Path "g" solves on the uniform
+    grid in u = G^{-1}(x) between the images of the walls, path "x" on the
+    uniform plain-x grid.
     """
-    require_positive("hbar", hbar)
-    require_positive("m0", m0)
+    kinetic_coefficient(hbar, m0)
     for edge in (xmin, xmax):
         cls.require_in_domain(edge, "box edge")
     if path == SPACE_G:

@@ -57,18 +57,20 @@ def write_spectrum(spectrum, out_dir: str, stem: str = "spectrum") -> list[str]:
     write_csv(energies_path, rows, header="n,energy,residual")
     paths.append(energies_path)
 
-    x_grid = x_column = None  # the states of a spectrum share one grid: format it once
+    x_grid = None  # the states of a spectrum share one grid: format it once
     for n, state in enumerate(spectrum.states, start=1):
         state_path = os.path.join(out_dir, f"{stem}_state_{n}.csv")
         if state.grid is not x_grid:
             x_grid = state.grid
-            x_column = ["%.12g" % x for x in x_grid.nodes.tolist()]
-        # "%.12g" writes the digits of fmt; states are real, and im_psi stays
-        # as a column of zeros for format stability
-        lines = [
-            "%s,%.12g,0,%.12g" % (x, v, v**2) for x, v in zip(x_column, state.values.tolist())
-        ]
-        _write_text(state_path, "x,re_psi,im_psi,prob_density\n" + "\n".join(lines) + "\n")
+            cells = [None] * (3 * x_grid.n_points)  # rows of x, re_psi, prob_density
+            cells[0::3] = ["%.12g" % x for x in x_grid.nodes.tolist()]
+            # "%.12g" writes the digits of fmt; states are real, and im_psi
+            # stays as a column of zeros for format stability
+            template = "x,re_psi,im_psi,prob_density\n" + "%s,%.12g,0,%.12g\n" * x_grid.n_points
+        values = state.values.tolist()
+        cells[1::3] = values
+        cells[2::3] = [v**2 for v in values]
+        _write_text(state_path, template % tuple(cells))
         paths.append(state_path)
 
     sidecar = os.path.join(out_dir, f"{stem}_meta.txt")

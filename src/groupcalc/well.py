@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import g_sum
-from .errors import DomainError, require_positive
+from .errors import DomainError, kinetic_coefficient, require_positive
 from .groups import GroupClass
 
 #: largest quantum number, and most samples of a probability table; both are
@@ -75,6 +75,7 @@ def eigenfunction_x(sol: WellSolution, x: float) -> float:
 
 def energy(sol: WellSolution) -> float:
     """hbar^2 (n pi / L_g)^2 / (2 m0)."""
+    kinetic_coefficient(sol.hbar, sol.m0)
     k = sol.wavenumber
     return sol.hbar**2 * k * k / (2.0 * sol.m0)
 

@@ -49,6 +49,16 @@ def test_eval_overflow_exit_3(capsys, spec):
     assert err == "domain error: overflow: math range error (at offset 5)\n"
 
 
+def test_eval_abe_inverse_past_overflow(capsys):
+    # G^-1 of ~8.4e263 brackets its root t ~ 1078 through G values that overflow
+    expr = ("((1.1589607886633744 (*) 7.20997346260985e+263) "
+            "(+) (3.527030128093605 (*) 3.462354744154925))")
+    code, out, _ = run(["eval", "--class", "abe:a=0.5636478849147178,b=-0.5620775811883815",
+                        expr], capsys)
+    assert code == 0
+    assert float(out) > 8.3e263
+
+
 # -- well ---------------------------------------------------------------------
 
 
@@ -290,6 +300,24 @@ def test_non_positive_hbar_m0_rejected(tmp_path, capsys, monkeypatch, source, co
     code, _, err = run(argv, capsys)
     assert code == 3
     assert err.startswith(f"domain error: {name} must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--potential", "well:L=1", "--N", "101", "--k", "2", "--path", "g"],
+    ["solve", "--potential", "well:L=1", "--N", "101", "--k", "2", "--path", "x"],
+    ["solve", "--potential", "well:L=1", "--N", "101", "--k", "2", "--cross-check"],
+    ["solve", "--potential", "harmonic:omega=1", "--N", "101", "--k", "2"],
+    ["well", "--L", "1", "--n", "2"],
+], ids=["g", "x", "cross-check", "harmonic", "well"])
+@pytest.mark.parametrize("scale", [["--hbar", "1e-200"], ["--m0", "1e-320"]],
+                         ids=["hbar-underflow", "m0-overflow"])
+def test_kinetic_coefficient_out_of_range_rejected(tmp_path, capsys, command, scale):
+    # hbar and m0 pass on their own, but hbar^2/(2 m0) is 0 or inf
+    out = tmp_path / "out"
+    code, _, err = run(command + scale + ["--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("domain error: hbar^2/(2 m0) must be finite and > 0")
     assert not out.exists()
 
 

@@ -127,6 +127,20 @@ def test_abe_matches_kaniadakis():
         assert a.g(t) == pytest.approx(k.g(t), rel=1e-14)
 
 
+def test_abe_inverse_brackets_past_overflow():
+    """G overflows while the bracket grows and is bisected, although the
+    root, t ~ 1078 at s ~ 7e263, is far from overflow."""
+    cls = abe(0.5636478849147178, -0.5620775811883815)
+    s = 7.209973462609746e263
+    t = cls.g_inv(s)
+    assert t == pytest.approx(1078.10884894319, rel=1e-14)  # exact root 1078.108848943189989
+    # one ulp of t moves G by 1.3e-13 relative; t is the closest double
+    assert cls.g(t) == pytest.approx(s, rel=1e-13)
+    assert cls.g_inv(-s) == pytest.approx(-1081.1208145499882, rel=1e-14)
+    u = cls.g_inv_array(np.array([s, -s, 1.0]))
+    assert u.tolist() == [t, cls.g_inv(-s), cls.g_inv(1.0)]
+
+
 def test_degenerate_parameters_normalize_to_bg():
     assert tsallis(1.0) is BG
     assert kaniadakis(0.0) is BG
@@ -259,9 +273,8 @@ def assert_array_forms_match_scalar(cls, t, s):
     u = cls.g_inv_array(s)
     want_a = _outcome(_scalar_loop(cls.deformation_factor), s)
     assert _outcome(lambda x: cls.deformation_factor_array(x, u), s) == want_a
-    derivs = np.array([cls.deformation_derivs(v) for v in s.tolist()]).T
-    for want, got in zip(derivs, cls.deformation_derivs_array(s, u)):
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want = _outcome(lambda x: np.array([cls.deformation_derivs(v) for v in x.tolist()]).T, s)
+    assert _outcome(lambda x: np.array(cls.deformation_derivs_array(x, u)), s) == want
 
 
 def _near_edges(cls):
@@ -287,11 +300,11 @@ def _arguments(draw, cls, cap=5.0):
     return draw(st.permutations(points))
 
 
-def _check_class(data, cls, t_cap=5.0):
+def _check_class(data, cls, t_cap=5.0, s_cap=5.0):
     t_lo, t_hi = (max(cls.t_range[0], -t_cap), min(cls.t_range[1], t_cap))
     t = data.draw(st.lists(st.floats(t_lo, t_hi), min_size=1, max_size=40)) + [0.0, -0.0]
     t += np.linspace(t_lo, t_hi, 17).tolist()
-    assert_array_forms_match_scalar(cls, t, data.draw(_arguments(cls)))
+    assert_array_forms_match_scalar(cls, t, data.draw(_arguments(cls, s_cap)))
 
 
 @given(data=st.data())
@@ -319,10 +332,12 @@ def test_array_forms_kaniadakis(data, kappa):
 
 
 @given(data=st.data(), a=st.floats(0.05, 2.0),
-       b=st.one_of(st.just(0.0), st.floats(-2.0, -0.05)))
+       b=st.one_of(st.just(0.0), st.floats(-2.0, -0.05)),
+       s_cap=st.sampled_from([5.0, 1e300]))
 @settings(max_examples=60, deadline=None)
-def test_array_forms_abe(data, a, b):
-    _check_class(data, abe(a, b))
+def test_array_forms_abe(data, a, b, s_cap):
+    # with |s| up to 1e300, G overflows while the inverse brackets its root
+    _check_class(data, abe(a, b), s_cap=s_cap)
 
 
 @given(data=st.data(), coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))

@@ -9,11 +9,15 @@ from scipy.optimize import brentq
 from groupcalc import (
     BG,
     DomainError,
+    Grid,
+    InfiniteWell,
     WellSolution,
     density_cdf,
     eigenfunction_g,
     eigenfunction_x,
     energy,
+    hamiltonian_gspace,
+    hamiltonian_xspace,
     integrate,
     kaniadakis,
     probability_table,
@@ -164,6 +168,18 @@ def test_library_entry_points_reject_bad_scales(name, value):
         solve_well(BG, 1.0, 101, 2, **{name: value})
     with pytest.raises(DomainError, match=message):
         WellSolution(BG, 1.0, 1, **{name: value})
+
+
+@pytest.mark.parametrize("hbar, m0", [(1e-200, 1.0), (1.0, 1e-320)])
+def test_builders_and_energy_check_the_kinetic_coefficient(hbar, m0):
+    # each scale is finite and > 0, but hbar^2/(2 m0) underflows or overflows
+    message = r"^hbar\^2/\(2 m0\) must be finite and > 0"
+    with pytest.raises(DomainError, match=message):
+        hamiltonian_gspace(BG, Grid(0.0, 1.0, 11, "g"), InfiniteWell(1.0), m0, hbar)
+    with pytest.raises(DomainError, match=message):
+        hamiltonian_xspace(kaniadakis(0.5), Grid(0.0, 1.0, 11), InfiniteWell(1.0), m0, hbar)
+    with pytest.raises(DomainError, match=message):
+        energy(WellSolution(BG, 1.0, 1, hbar, m0))
 
 
 def test_domain_guard_for_q_above_one():
