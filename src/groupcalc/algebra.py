@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._libm import _Array
 from .errors import DomainError
-from .groups import GroupClass, _pow, exp_g, log_g
+from .groups import GroupClass, exp_g, log_g
 
 _local = threading.local()
 
@@ -64,7 +65,7 @@ def cutoff_pow_array(base: np.ndarray, exponent: float) -> tuple[np.ndarray, np.
     """
     clamped = base < 0.0
     values = np.zeros(base.shape)
-    values[~clamped] = _pow(base[~clamped], exponent)
+    values[~clamped] = _Array.pow(base[~clamped], exponent)
     if clamped.any():
         _set_clamped()
     return values, clamped

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, calculus, closed_forms, groups
+from ._libm import _Array
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError
-from .groups import GroupClass, _map
+from .groups import GroupClass
 
 
 @dataclass
@@ -67,7 +68,7 @@ def check_pythagorean(cls: GroupClass, tol: Tolerances, n: int = 200) -> CheckRe
     rng = np.random.default_rng(11)
     lo, hi = _sample_range(cls)
     u = cls.g_inv_array(rng.uniform(lo, hi, n))
-    s, c = _map(math.sin, u), _map(math.cos, u)
+    s, c = _Array.sin(u), _Array.cos(u)
     worst = _worst(np.abs(s * s + c * c - 1.0))
     return CheckResult("pythagorean", worst <= 1e-12, worst)
 

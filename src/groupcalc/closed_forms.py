@@ -10,9 +10,12 @@ to zero and flagged (see :func:`groupcalc.algebra.clamp_occurred`).
 
 The sum, difference, product and quotient have array twins (``q_sum_array``,
 ..., ``kappa_div_array``) whose element i equals the scalar form at
-(x[i], y[i]) bit for bit, under the libm rule of :mod:`groupcalc.groups`.  The
-product and quotient twins return ``(values, clamped)``, where ``clamped``
-marks the elements whose scalar call clamps a cutoff base.
+(x[i], y[i]) bit for bit, under the libm rule of :mod:`groupcalc._libm`.
+``q_sum``, ``kappa_sum`` and ``kappa_sub`` are written once and run over
+arrays as they are; the other twins keep bodies of their own, for a pole
+check or a clamp mask.  The product and quotient twins return
+``(values, clamped)``, where ``clamped`` marks the elements whose scalar call
+clamps a cutoff base.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import math
 
 import numpy as np
 
+from ._libm import _Array, _Scalar
 from .algebra import cutoff_pow, cutoff_pow_array
 from .errors import DomainError
-from .groups import _map, _pow
 
 # -- q-algebra ---------------------------------------------------------------
 
@@ -118,14 +121,14 @@ def kappa_log(kappa: float, x: float) -> float:
     return (x**k - x**-k) / (2.0 * k)
 
 
-def kappa_sum(kappa: float, x: float, y: float) -> float:
+def kappa_sum(kappa: float, x: float, y: float, _m=_Scalar) -> float:
     k = _check_kappa(kappa)
-    return x * math.sqrt(1.0 + (k * y) ** 2) + y * math.sqrt(1.0 + (k * x) ** 2)
+    return x * _m.sqrt(1.0 + _m.pow(k * y, 2)) + y * _m.sqrt(1.0 + _m.pow(k * x, 2))
 
 
-def kappa_sub(kappa: float, x: float, y: float) -> float:
+def kappa_sub(kappa: float, x: float, y: float, _m=_Scalar) -> float:
     k = _check_kappa(kappa)
-    return x * math.sqrt(1.0 + (k * y) ** 2) - y * math.sqrt(1.0 + (k * x) ** 2)
+    return x * _m.sqrt(1.0 + _m.pow(k * y, 2)) - y * _m.sqrt(1.0 + _m.pow(k * x, 2))
 
 
 def kappa_neg(kappa: float, x: float) -> float:
@@ -176,7 +179,7 @@ def kappa_pow(kappa: float, x: float, n: int) -> float:
 
 
 def q_sum_array(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x + y + _gamma(q) * x * y
+    return q_sum(q, x, y)
 
 
 def q_sub_array(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -189,38 +192,38 @@ def q_sub_array(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def q_prod_array(q: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = _gamma(q)
-    return cutoff_pow_array(_pow(x, g) + _pow(y, g) - 1.0, 1.0 / g)
+    return cutoff_pow_array(_Array.pow(x, g) + _Array.pow(y, g) - 1.0, 1.0 / g)
 
 
 def q_div_array(q: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = _gamma(q)
-    return cutoff_pow_array(_pow(x, g) - _pow(y, g) + 1.0, 1.0 / g)
+    return cutoff_pow_array(_Array.pow(x, g) - _Array.pow(y, g) + 1.0, 1.0 / g)
 
 
 def kappa_sum_array(kappa: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    k = _check_kappa(kappa)
-    return x * np.sqrt(1.0 + _pow(k * y, 2)) + y * np.sqrt(1.0 + _pow(k * x, 2))
+    return _Array.run(kappa_sum, kappa, x, y)
 
 
 def kappa_sub_array(kappa: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    k = _check_kappa(kappa)
-    return x * np.sqrt(1.0 + _pow(k * y, 2)) - y * np.sqrt(1.0 + _pow(k * x, 2))
+    return _Array.run(kappa_sub, kappa, x, y)
 
 
 def _kappa_exp_of_half(k: float, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(asinh(half)/k) at every element, and the (empty) clamp mask."""
-    return _map(math.exp, _map(math.asinh, half) / k), np.zeros(half.shape, bool)
+    return _Array.exp(_Array.asinh(half) / k), np.zeros(half.shape, bool)
 
 
 def kappa_prod_array(kappa: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = _check_kappa(kappa)
     if ((x <= 0.0) | (y <= 0.0)).any():
         raise DomainError("kappa_prod needs positive operands")
-    return _kappa_exp_of_half(k, (_pow(x, k) + _pow(y, k) - _pow(x, -k) - _pow(y, -k)) / 2.0)
+    pow_ = _Array.pow
+    return _kappa_exp_of_half(k, (pow_(x, k) + pow_(y, k) - pow_(x, -k) - pow_(y, -k)) / 2.0)
 
 
 def kappa_div_array(kappa: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = _check_kappa(kappa)
     if ((x <= 0.0) | (y <= 0.0)).any():
         raise DomainError("kappa_div needs positive operands")
-    return _kappa_exp_of_half(k, (_pow(x, k) - _pow(y, k) - _pow(x, -k) + _pow(y, -k)) / 2.0)
+    pow_ = _Array.pow
+    return _kappa_exp_of_half(k, (pow_(x, k) - pow_(y, k) - pow_(x, -k) + pow_(y, -k)) / 2.0)

@@ -58,11 +58,14 @@ def kinetic_coefficient(hbar: float, m0: float) -> float:
 
 
 # (exception type, exit code, label); the first row whose type matches wins.
+# An OverflowError is a float that left the double range (a libm range
+# error, or ``**`` past 1e308) on an input too large for the class.
 # A ValueError that is none of the typed errors comes from a library check
 # (a malformed spec, an unknown name) and is reported here, once.
 _EXIT_TABLE = (
     (ParseError, 2, "parse error"),
     (DomainError, 3, "domain error"),
+    (OverflowError, 3, "domain error: overflow"),
     (ConvergenceError, 4, "convergence failure"),
     (ToleranceNotMet, 4, "convergence failure"),
     (OSError, 5, "i/o error"),

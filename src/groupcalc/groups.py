@@ -17,39 +17,30 @@ Built-in classes:
 
 Each scalar method has an array form (``g_array``, ``g_inv_array``, ...,
 ``deformation_factor_array``) for 1-d float arrays, whose every element
-equals the scalar method's result bit for bit.  The array forms use numpy
-only for correctly rounded operations (+ - * /, comparisons, ``abs``,
-``sqrt``, ``where``) and call libm through ``math`` and Python's ``**`` once
-per element: numpy's own ``exp``, ``expm1``, ``sinh``, ``**``, ... differ from
-libm in the last ulp on a share of inputs.  The numerically inverted classes
-run their inversions as masked vector copies of the scalar iterations, in
-which every element takes the scalar's steps and stops on its own.  An array
-with an element outside the domain raises the scalar's DomainError for the
-first such element, before any other error.
+equals the scalar method's result bit for bit.  A built-in class writes each
+formula once, in its scalar method, over a private trailing namespace
+argument ``_m`` (see :mod:`groupcalc._libm`); its array form runs that same
+formula over ``_Array``, which calls libm once per element.  A subclass of
+:class:`GroupClass` that defines only scalar methods gets array forms that
+loop over them.  The numerically inverted classes run their inversions as
+masked vector copies of the scalar iterations, in which every element takes
+the scalar's steps and stops on its own.  An array with an element outside
+the domain raises the scalar's DomainError for the first such element,
+before any other error.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._libm import _Array, _Scalar
 from .config import DEFAULT_TOLERANCES, Spec, Tolerances
 from .errors import ConvergenceError, DomainError
 
 _INF = math.inf
-
-
-def _map(f, x):
-    """f at every element of the 1-d float array x, one scalar call each."""
-    return np.fromiter(map(f, x.tolist()), float, x.size)
-
-
-def _pow(x, p):
-    """x ** p elementwise, through Python's float ``**`` as the scalar methods."""
-    return np.fromiter(map(pow, x.tolist(), itertools.repeat(p)), float, x.size)
 
 
 def _raise_first(failures: dict) -> None:
@@ -130,29 +121,26 @@ class GroupClass:
         at u = G^{-1}(x); exact given exact generator derivatives.
         """
         u = self.g_inv(x)
-        g1 = self.g_prime(u)
-        g2 = self.g_second(u)
-        g3 = self.g_third(u)
-        return g1, g2 / g1, (g3 * g1 - g2 * g2) / g1**3
+        return _derivs(self.g_prime(u), self.g_second(u), self.g_third(u))
 
     # -- array forms: element i equals the scalar method at x[i] -------------
-    # The base forms loop over the scalar methods; the built-in classes
-    # override them with vector code.
+    # The base forms loop over the scalar methods; the built-in classes run
+    # their one formula over _Array instead (see _OneFormula).
 
     def g_array(self, t: np.ndarray) -> np.ndarray:
-        return _map(self.g, t)
+        return _Array.each(self.g, t)
 
     def g_inv_array(self, s: np.ndarray) -> np.ndarray:
-        return _map(self.g_inv, s)
+        return _Array.each(self.g_inv, s)
 
     def g_prime_array(self, t: np.ndarray) -> np.ndarray:
-        return _map(self.g_prime, t)
+        return _Array.each(self.g_prime, t)
 
     def g_second_array(self, t: np.ndarray) -> np.ndarray:
-        return _map(self.g_second, t)
+        return _Array.each(self.g_second, t)
 
     def g_third_array(self, t: np.ndarray) -> np.ndarray:
-        return _map(self.g_third, t)
+        return _Array.each(self.g_third, t)
 
     def deformation_factor_array(
         self, x: np.ndarray, u: np.ndarray | None = None
@@ -169,58 +157,74 @@ class GroupClass:
         ``u`` as for :meth:`deformation_factor_array`."""
         if u is None:
             u = self.g_inv_array(x)
-        g1 = self.g_prime_array(u)
-        g2 = self.g_second_array(u)
-        g3 = self.g_third_array(u)
-        return g1, g2 / g1, (g3 * g1 - g2 * g2) / _pow(g1, 3)
+        g1, g2, g3 = self.g_prime_array(u), self.g_second_array(u), self.g_third_array(u)
+        return _Array.run(_derivs, g1, g2, g3)
 
     def __repr__(self):
         return f"<GroupClass {self.spec_string()}>"
 
 
+def _derivs(g1, g2, g3, _m=_Scalar):
+    """(A, A', A'') from G', G'' and G''' at u = G^{-1}(x)."""
+    return g1, g2 / g1, (g3 * g1 - g2 * g2) / _m.pow(g1, 3)
+
+
+def _over_array(name):
+    """The array form of scalar method ``name``: its formula run over _Array."""
+    return lambda self, x: _Array.run(getattr(self, name), x)
+
+
+class _OneFormula(GroupClass):
+    """A built-in class.  Each formula is written once, in a scalar method
+    with the trailing namespace argument ``_m``; its array form runs the
+    same method over ``_Array``."""
+
+    g_array = _over_array("g")
+    g_prime_array = _over_array("g_prime")
+    g_second_array = _over_array("g_second")
+    g_third_array = _over_array("g_third")
+
+
+class _ClosedInverse(_OneFormula):
+    """A built-in class whose G^{-1} and A are formulas over ``_m`` too."""
+
+    g_inv_array = _over_array("g_inv")
+
+    def deformation_factor_array(self, x, u=None):
+        return _Array.run(self.deformation_factor, x)
+
+
 @dataclass(frozen=True, repr=False)
-class BGClass(GroupClass):
+class BGClass(_ClosedInverse):
     """Identity generator: every deformed operation reduces to the plain one."""
 
     kind: str = field(default="bg", init=False)
     domain = (-_INF, _INF)
 
-    def g(self, t):
-        return t
+    def g(self, t, _m=_Scalar):
+        return _m.copy(t)
 
-    def g_inv(self, s):
-        return s
+    def g_inv(self, s, _m=_Scalar):
+        return _m.copy(s)
 
-    def g_prime(self, t):
-        return 1.0
+    def g_prime(self, t, _m=_Scalar):
+        return _m.full(t, 1.0)
 
-    def g_second(self, t):
-        return 0.0
+    def g_second(self, t, _m=_Scalar):
+        return _m.full(t, 0.0)
 
-    def g_third(self, t):
-        return 0.0
+    def g_third(self, t, _m=_Scalar):
+        return _m.full(t, 0.0)
 
-    def g_array(self, t):
-        return np.array(t, dtype=float)
-
-    def g_inv_array(self, s):
-        return np.array(s, dtype=float)
-
-    def g_prime_array(self, t):
-        return np.ones(t.shape)
-
-    def g_second_array(self, t):
-        return np.zeros(t.shape)
-
-    def g_third_array(self, t):
-        return np.zeros(t.shape)
+    def deformation_factor(self, x, _m=_Scalar):
+        return _m.full(x, 1.0)
 
     def spec_string(self):
         return "bg"
 
 
 @dataclass(frozen=True, repr=False)
-class TsallisClass(GroupClass):
+class TsallisClass(_ClosedInverse):
     """G(t) = (exp(gamma t) - 1)/gamma with gamma = 1 - q (gamma != 0)."""
 
     q: float
@@ -235,44 +239,24 @@ class TsallisClass(GroupClass):
         edge = -1.0 / self.gamma
         return (edge, _INF) if self.gamma > 0 else (-_INF, edge)
 
-    def g(self, t):
-        return math.expm1(self.gamma * t) / self.gamma
+    def g(self, t, _m=_Scalar):
+        return _m.expm1(self.gamma * t) / self.gamma
 
-    def g_inv(self, s):
-        self.require_in_domain(s)
-        return math.log1p(self.gamma * s) / self.gamma
+    def g_inv(self, s, _m=_Scalar):
+        _m.require_in_domain(self, s)
+        return _m.log1p(self.gamma * s) / self.gamma
 
-    def g_prime(self, t):
-        return math.exp(self.gamma * t)
+    def g_prime(self, t, _m=_Scalar):
+        return _m.exp(self.gamma * t)
 
-    def g_second(self, t):
-        return self.gamma * math.exp(self.gamma * t)
+    def g_second(self, t, _m=_Scalar):
+        return self.gamma * _m.exp(self.gamma * t)
 
-    def g_third(self, t):
-        return self.gamma**2 * math.exp(self.gamma * t)
+    def g_third(self, t, _m=_Scalar):
+        return self.gamma**2 * _m.exp(self.gamma * t)
 
-    def deformation_factor(self, x):
-        self.require_in_domain(x)
-        return 1.0 + self.gamma * x
-
-    def g_array(self, t):
-        return _map(math.expm1, self.gamma * t) / self.gamma
-
-    def g_inv_array(self, s):
-        self.require_in_domain_array(s)
-        return _map(math.log1p, self.gamma * s) / self.gamma
-
-    def g_prime_array(self, t):
-        return _map(math.exp, self.gamma * t)
-
-    def g_second_array(self, t):
-        return self.gamma * _map(math.exp, self.gamma * t)
-
-    def g_third_array(self, t):
-        return self.gamma**2 * _map(math.exp, self.gamma * t)
-
-    def deformation_factor_array(self, x, u=None):
-        self.require_in_domain_array(x)
+    def deformation_factor(self, x, _m=_Scalar):
+        _m.require_in_domain(self, x)
         return 1.0 + self.gamma * x
 
     def spec_string(self):
@@ -280,55 +264,37 @@ class TsallisClass(GroupClass):
 
 
 @dataclass(frozen=True, repr=False)
-class KaniadakisClass(GroupClass):
+class KaniadakisClass(_ClosedInverse):
     """G(t) = sinh(kappa t)/kappa (kappa != 0)."""
 
     kappa: float
     kind: str = field(default="kaniadakis", init=False)
     domain = (-_INF, _INF)
 
-    def g(self, t):
-        return math.sinh(self.kappa * t) / self.kappa
+    def g(self, t, _m=_Scalar):
+        return _m.sinh(self.kappa * t) / self.kappa
 
-    def g_inv(self, s):
-        return math.asinh(self.kappa * s) / self.kappa
+    def g_inv(self, s, _m=_Scalar):
+        return _m.asinh(self.kappa * s) / self.kappa
 
-    def g_prime(self, t):
-        return math.cosh(self.kappa * t)
+    def g_prime(self, t, _m=_Scalar):
+        return _m.cosh(self.kappa * t)
 
-    def g_second(self, t):
-        return self.kappa * math.sinh(self.kappa * t)
+    def g_second(self, t, _m=_Scalar):
+        return self.kappa * _m.sinh(self.kappa * t)
 
-    def g_third(self, t):
-        return self.kappa**2 * math.cosh(self.kappa * t)
+    def g_third(self, t, _m=_Scalar):
+        return self.kappa**2 * _m.cosh(self.kappa * t)
 
-    def deformation_factor(self, x):
-        return math.sqrt(1.0 + (self.kappa * x) ** 2)
-
-    def g_array(self, t):
-        return _map(math.sinh, self.kappa * t) / self.kappa
-
-    def g_inv_array(self, s):
-        return _map(math.asinh, self.kappa * s) / self.kappa
-
-    def g_prime_array(self, t):
-        return _map(math.cosh, self.kappa * t)
-
-    def g_second_array(self, t):
-        return self.kappa * _map(math.sinh, self.kappa * t)
-
-    def g_third_array(self, t):
-        return self.kappa**2 * _map(math.cosh, self.kappa * t)
-
-    def deformation_factor_array(self, x, u=None):
-        return np.sqrt(1.0 + _pow(self.kappa * x, 2))
+    def deformation_factor(self, x, _m=_Scalar):
+        return _m.sqrt(1.0 + _m.pow(self.kappa * x, 2))
 
     def spec_string(self):
         return f"kaniadakis:k={_fmt_param(self.kappa)}"
 
 
 @dataclass(frozen=True, repr=False)
-class AbeClass(GroupClass):
+class AbeClass(_OneFormula):
     """G(t) = (exp(at) - exp(bt))/(a - b); inverse by bisection plus Newton polish.
 
     Monotonicity of G requires a >= 0 >= b (after canonical ordering a > b);
@@ -359,62 +325,36 @@ class AbeClass(GroupClass):
         hi = _INF if self.a > 0 else -1.0 / self.b
         return (lo, hi)
 
-    def g(self, t):
+    def g(self, t, _m=_Scalar):
         a, b = self.a, self.b
-        return (math.exp(a * t) - math.exp(b * t)) / (a - b)
+        return (_m.exp(a * t) - _m.exp(b * t)) / (a - b)
 
-    def g_prime(self, t):
+    def g_prime(self, t, _m=_Scalar):
         a, b = self.a, self.b
-        return (a * math.exp(a * t) - b * math.exp(b * t)) / (a - b)
+        return (a * _m.exp(a * t) - b * _m.exp(b * t)) / (a - b)
 
-    def g_second(self, t):
+    def g_second(self, t, _m=_Scalar):
         a, b = self.a, self.b
-        return (a * a * math.exp(a * t) - b * b * math.exp(b * t)) / (a - b)
+        return (a * a * _m.exp(a * t) - b * b * _m.exp(b * t)) / (a - b)
 
-    def g_third(self, t):
+    def g_third(self, t, _m=_Scalar):
         a, b = self.a, self.b
-        return (a**3 * math.exp(a * t) - b**3 * math.exp(b * t)) / (a - b)
+        return (a**3 * _m.exp(a * t) - b**3 * _m.exp(b * t)) / (a - b)
 
     def g_inv(self, s):
         self.require_in_domain(s)
         return _bracketed_invert(self.g, self.g_prime, s, self.tol)
 
-    def _exps(self, t):
-        return _map(math.exp, self.a * t), _map(math.exp, self.b * t)
-
-    def g_array(self, t):
-        ea, eb = self._exps(t)
-        return (ea - eb) / (self.a - self.b)
-
-    def _g_and_prime_array(self, t):
-        """G and G' at t from one pair of exponentials."""
-        a, b = self.a, self.b
-        ea, eb = self._exps(t)
-        return (ea - eb) / (a - b), (a * ea - b * eb) / (a - b)
-
-    def g_prime_array(self, t):
-        return self._g_and_prime_array(t)[1]
-
-    def g_second_array(self, t):
-        a, b = self.a, self.b
-        ea, eb = self._exps(t)
-        return (a * a * ea - b * b * eb) / (a - b)
-
-    def g_third_array(self, t):
-        a, b = self.a, self.b
-        ea, eb = self._exps(t)
-        return (a**3 * ea - b**3 * eb) / (a - b)
-
     def g_inv_array(self, s):
         self.require_in_domain_array(s)
-        return _bracketed_invert_array(self.g_array, self._g_and_prime_array, s, self.tol)
+        return _Array.run(_bracketed_invert_array, self.g, self.g_prime, s, self.tol)
 
     def spec_string(self):
         return f"abe:a={_fmt_param(self.a)},b={_fmt_param(self.b)}"
 
 
 @dataclass(frozen=True, repr=False)
-class SeriesClass(GroupClass):
+class SeriesClass(_OneFormula):
     """Truncated formal generator t + sum_{k=1}^{m} a_k t^{k+1}/(k+1).
 
     Only a local group law: the inverse is a Newton iteration seeded at s,
@@ -464,28 +404,28 @@ class SeriesClass(GroupClass):
         t_lo, t_hi = self._t_range
         return (self.g(t_lo), self.g(t_hi))
 
-    def g(self, t):
-        acc = t
+    def g(self, t, _m=_Scalar):
+        acc = t  # acc = acc + ..., since += would write into an array t
         for k in range(1, self.truncation_order + 1):
-            acc += self.coeffs[k - 1] * t ** (k + 1) / (k + 1)
+            acc = acc + self.coeffs[k - 1] * _m.pow(t, k + 1) / (k + 1)
         return acc
 
-    def g_prime(self, t):
-        acc = 1.0
+    def g_prime(self, t, _m=_Scalar):
+        acc = 1.0  # order >= 1, so an array t makes acc an array
         for k in range(1, self.truncation_order + 1):
-            acc += self.coeffs[k - 1] * t**k
+            acc = acc + self.coeffs[k - 1] * _m.pow(t, k)
         return acc
 
-    def g_second(self, t):
+    def g_second(self, t, _m=_Scalar):
         acc = 0.0
         for k in range(1, self.truncation_order + 1):
-            acc += k * self.coeffs[k - 1] * t ** (k - 1)
+            acc = acc + k * self.coeffs[k - 1] * _m.pow(t, k - 1)
         return acc
 
-    def g_third(self, t):
-        acc = 0.0
+    def g_third(self, t, _m=_Scalar):
+        acc = _m.full(t, 0.0)
         for k in range(2, self.truncation_order + 1):
-            acc += k * (k - 1) * self.coeffs[k - 1] * t ** (k - 2)
+            acc = acc + k * (k - 1) * self.coeffs[k - 1] * _m.pow(t, k - 2)
         return acc
 
     def g_inv(self, s):
@@ -503,30 +443,6 @@ class SeriesClass(GroupClass):
             if abs(delta) <= self.tol.inverse_abs * (1.0 + abs(t)):
                 return t
         raise ConvergenceError(f"series inverse did not converge for s={s!r}")
-
-    def g_array(self, t):
-        acc = t
-        for k in range(1, self.truncation_order + 1):
-            acc = acc + self.coeffs[k - 1] * _pow(t, k + 1) / (k + 1)
-        return acc
-
-    def g_prime_array(self, t):
-        acc = np.ones(t.shape)
-        for k in range(1, self.truncation_order + 1):
-            acc = acc + self.coeffs[k - 1] * _pow(t, k)
-        return acc
-
-    def g_second_array(self, t):
-        acc = np.zeros(t.shape)
-        for k in range(1, self.truncation_order + 1):
-            acc = acc + k * self.coeffs[k - 1] * _pow(t, k - 1)
-        return acc
-
-    def g_third_array(self, t):
-        acc = np.zeros(t.shape)
-        for k in range(2, self.truncation_order + 1):
-            acc = acc + k * (k - 1) * self.coeffs[k - 1] * _pow(t, k - 2)
-        return acc
 
     def g_inv_array(self, s):
         """Masked copy of :meth:`g_inv`: each element leaves on its own."""
@@ -638,29 +554,29 @@ def _bracketed_invert(g, g_prime, s: float, tol: Tolerances) -> float:
     raise ConvergenceError(f"Newton polish did not converge for s={s!r}")
 
 
-def _g_or_inf(g, t: np.ndarray) -> np.ndarray:
+def _g_or_inf(g, t: np.ndarray, _m) -> np.ndarray:
     """g(t), where an element whose g overflows takes +-inf with its sign:
     the rule of the scalar bracket, which guards each g call with ``try``."""
     try:
-        return g(t)
+        return g(t, _m)
     except OverflowError:
         pass
     out = np.empty(t.shape)
     for i, ti in enumerate(t.tolist()):
         try:
-            out[i] = g(t[i : i + 1])[0]
+            out[i] = g(t[i : i + 1], _m)[0]
         except OverflowError:
             out[i] = math.copysign(_INF, ti)
     return out
 
 
-def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Masked vector copy of :func:`_bracketed_invert` over the elements of s.
+def _bracketed_invert_array(g, g_prime, s: np.ndarray, tol: Tolerances, _m) -> np.ndarray:
+    """Masked vector copy of :func:`_bracketed_invert` over the elements of s,
+    with g and g_prime taken over the namespace ``_m``.
 
     Every element takes the scalar's bracket growth, bisection and Newton
     steps and leaves each stage on its own stop rule, so element i is the
-    scalar result for s[i] bit for bit.  ``g_and_prime(t)`` returns
-    (g(t), g_prime(t)).
+    scalar result for s[i] bit for bit.
     """
     t = np.zeros(s.shape)  # G(0) = 0 keeps the fixed point s = 0 exact
     lo, hi = np.full(s.shape, -1.0), np.full(s.shape, 1.0)
@@ -669,7 +585,7 @@ def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> n
     for edge, outside in ((lo, np.greater), (hi, np.less)):
         active = live
         for _ in range(61):  # the scalar gives up after 60 doublings
-            active = active[outside(_g_or_inf(g, edge[active]), s[active])]
+            active = active[outside(_g_or_inf(g, edge[active], _m), s[active])]
             edge[active] *= 2.0
             if not active.size:
                 break
@@ -684,7 +600,7 @@ def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> n
             break
         l, h = lo[active], hi[active]
         mid = 0.5 * (l + h)
-        below = _g_or_inf(g, mid) < s[active]
+        below = _g_or_inf(g, mid, _m) < s[active]
         l, h = np.where(below, mid, l), np.where(below, h, mid)
         lo[active], hi[active] = l, h
         active = active[~(h - l < 1e-6 * (1.0 + np.abs(mid)))]
@@ -695,8 +611,7 @@ def _bracketed_invert_array(g, g_and_prime, s: np.ndarray, tol: Tolerances) -> n
         if not active.size:
             break
         ta = t[active]
-        gt, gp = g_and_prime(ta)
-        delta = (gt - s[active]) / gp
+        delta = (g(ta, _m) - s[active]) / g_prime(ta, _m)
         ta = ta - delta
         l, h = lo[active], hi[active]
         ta = np.where((l - 1.0 <= ta) & (ta <= h + 1.0), ta, 0.5 * (l + h))
@@ -739,7 +654,7 @@ def log_g_array(cls: GroupClass, x: np.ndarray) -> np.ndarray:
     bad = x <= 0.0
     if bad.any():
         log_g(cls, x[bad.argmax()].item())
-    return cls.g_array(_map(math.log, x))
+    return cls.g_array(_Array.log(x))
 
 
 def exp_g_array(cls: GroupClass, x: np.ndarray) -> np.ndarray:
@@ -749,7 +664,7 @@ def exp_g_array(cls: GroupClass, x: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape)
     inner = x[~edge]
     cls.require_in_domain_array(inner)
-    out[~edge] = _map(math.exp, cls.g_inv_array(inner))
+    out[~edge] = _Array.exp(cls.g_inv_array(inner))
     return out
 
 

@@ -59,6 +59,7 @@ def run_cli(argv, stdin=""):
     (ConvergenceError("stuck"), 4, "convergence failure: stuck"),
     (FileNotFoundError("nope.csv"), 5, "i/o error: nope.csv"),
     (ValueError("bad spec"), 3, "error: bad spec"),
+    (OverflowError("math range error"), 3, "domain error: overflow: math range error"),
 ])
 def test_exit_status_table(exc, code, line):
     assert isinstance(exc, REPORTED)
@@ -99,6 +100,16 @@ def test_exit_status_table(exc, code, line):
      f"parse error at offset {MAX_DEPTH}: expression deeper than {MAX_DEPTH} levels"),
     (["eval", "gint(" * 2000 + "1" + ")" * 2000], 2,
      f"parse error at offset {5 * MAX_DEPTH}: expression deeper than"),
+    # A(x) = sqrt(1 + (kappa x)^2) and the suites' generators leave the float range.
+    (["solve", "--class", "kaniadakis:k=2", "--potential", "harmonic:omega=1", "--path", "x",
+      "--N", "3", "--k", "1", "--xmin", "-1.3e154", "--xmax", "1.3e154"], 3,
+     "domain error: overflow: "),
+    (["solve", "--class", "kaniadakis:k=2", "--potential", "well:L=1.3e154", "--path", "x",
+      "--N", "3", "--k", "1"], 3, "domain error: overflow: "),
+    (["check", "--class", "kaniadakis:k=1e160"], 3, "domain error: overflow: math range error"),
+    (["check", "--class", "tsallis:q=-1e300"], 3, "domain error: overflow: math range error"),
+    (["check", "--class", "abe:a=1e200,b=-1"], 3, "domain error: overflow: math range error"),
+    (["check", "--class", "series:a1=1e300"], 3, "domain error: overflow: "),
 ])
 def test_typed_failure(tmp_path, argv, code, prefix):
     out = tmp_path / "out"
