@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._spline import CubicSpline
 from .config import DEFAULT_TOLERANCES, QUAD_BACKENDS, Tolerances
 from .errors import DomainError, ToleranceNotMet
 from .groups import GroupClass
@@ -44,15 +45,16 @@ def as_func(f) -> Func1D:
 
 
 def func_from_samples(xs, ys) -> Func1D:
-    """Cubic-spline rule through sample points (for CSV-loaded data)."""
-    from scipy.interpolate import CubicSpline
-
+    """Not-a-knot cubic-spline rule through sample points (for CSV-loaded
+    data), on the sample range.  The spline is the in-repo
+    ``groupcalc._spline.CubicSpline``, equal bit for bit to scipy's
+    ``CubicSpline`` without loading scipy's interpolation package; each
+    call evaluates one point in Python floats."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 4:
         raise ValueError("need matching 1-d arrays with at least 4 samples")
-    spline = CubicSpline(xs, ys)
-    return Func1D(lambda x: float(spline(x)), float(xs[0]), float(xs[-1]))
+    return Func1D(CubicSpline(xs, ys).at, float(xs[0]), float(xs[-1]))
 
 
 # ---------------------------------------------------------------------------

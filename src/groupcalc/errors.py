@@ -2,6 +2,7 @@
 entry point applies to its numbers, and the one table that maps an exception
 to its exit code and stderr line for the CLI and the REPL."""
 
+import errno
 import math
 
 
@@ -57,6 +58,15 @@ def kinetic_coefficient(hbar: float, m0: float) -> float:
     return require_positive("hbar^2/(2 m0)", hbar * hbar / (2.0 * m0))
 
 
+def overflow_text(exc: OverflowError) -> str:
+    """The message of a float overflow.  Python's ``**`` raises it with an
+    errno tuple, ``(34, 'Numerical result out of range')``; that one reads as
+    libm's own overflow does, ``math range error``."""
+    if exc.args and exc.args[0] == errno.ERANGE:
+        return "math range error"
+    return str(exc)
+
+
 # (exception type, exit code, label); the first row whose type matches wins.
 # An OverflowError is a float that left the double range (a libm range
 # error, or ``**`` past 1e308) on an input too large for the class.
@@ -82,4 +92,5 @@ def exit_status(exc: BaseException) -> tuple[int, str]:
         if isinstance(exc, kind):
             if isinstance(exc, ParseError):
                 label += f" at offset {exc.offset}"
-            return code, f"{label}: {exc}"
+            text = overflow_text(exc) if kind is OverflowError else exc
+            return code, f"{label}: {text}"

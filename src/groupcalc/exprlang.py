@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import algebra, groups
-from .errors import REPORTED, DomainError, ParseError, exit_status
+from .errors import REPORTED, DomainError, ParseError, exit_status, overflow_text
 from .groups import GroupClass
 
 # -- tokens ------------------------------------------------------------------
@@ -362,7 +362,7 @@ def _eval(node: Expr, cls: GroupClass) -> float:
     except DomainError as exc:
         raise DomainError(f"{exc} (at offset {node.offset})") from None
     except OverflowError as exc:
-        raise DomainError(f"overflow: {exc} (at offset {node.offset})") from None
+        raise DomainError(f"overflow: {overflow_text(exc)} (at offset {node.offset})") from None
     except ZeroDivisionError:
         raise DomainError(f"division by zero (at offset {node.offset})") from None
 

@@ -18,8 +18,11 @@ plus inverse iteration, refining each pair with one extended precision
 inverse-iteration step.  Non-symmetric bands are first reduced to a
 symmetric tridiagonal matrix by an exact diagonal similarity (the discrete
 counterpart of the sqrt(A) wavefunction rescaling, which itself is exposed as
-:func:`transform_state`).  LAPACK comes from scipy, which is imported at the
-first eigensolve, not with this module.
+:func:`transform_state`).  LAPACK comes from ``scipy.linalg``, which is
+imported at the first eigensolve or spline, not with this module; it is the
+only scipy package a solve loads.  ``transform_state`` interpolates with the
+in-repo not-a-knot spline of ``groupcalc._spline``, equal bit for bit to
+scipy's ``CubicSpline``.
 
 ``solve_box`` is the one route from a potential in the hard-walled box
 [xmin, xmax] to its spectrum: it checks both walls against the class
@@ -50,6 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._lapack import eigh_tridiagonal  # looked up at each call, so it can be replaced
+from ._spline import CubicSpline
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ConvergenceError, DomainError, kinetic_coefficient, require_positive
 from .groups import GroupClass
@@ -516,8 +520,6 @@ def transform_state(cls: GroupClass, phi: WaveFunction) -> WaveFunction:
     psi(x) = phi(G^{-1}(x)) / sqrt(A(x)), sampled on a uniform x grid spanning
     the image of the input grid; the plain-dx norm is preserved.
     """
-    from scipy.interpolate import CubicSpline
-
     if phi.grid.space != SPACE_G:
         raise ValueError("transform_state expects a state on a deformed-coordinate grid")
     if cls.is_identity:

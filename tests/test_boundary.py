@@ -60,6 +60,7 @@ def run_cli(argv, stdin=""):
     (FileNotFoundError("nope.csv"), 5, "i/o error: nope.csv"),
     (ValueError("bad spec"), 3, "error: bad spec"),
     (OverflowError("math range error"), 3, "domain error: overflow: math range error"),
+    (OverflowError(34, "Numerical result out of range"), 3, "domain error: overflow: math range error"),
 ])
 def test_exit_status_table(exc, code, line):
     assert isinstance(exc, REPORTED)
@@ -116,6 +117,19 @@ def test_typed_failure(tmp_path, argv, code, prefix):
     got, stdout, err = run_cli(argv + ["--out", str(out)])
     assert (got, stdout) == (code, "")
     assert err.startswith(prefix) and ERROR_LINE.fullmatch(err), err
+    assert not out.exists()
+
+
+# Python's ``**`` overflows with an errno tuple; it reads as libm's overflow.
+@pytest.mark.parametrize("argv, line", [
+    (["check", "--class", "series:a1=1e300"], "domain error: overflow: math range error\n"),
+    (["solve", "--class", "kaniadakis:k=2", "--potential", "well:L=1.3e154", "--path", "x",
+      "--N", "3", "--k", "1"], "domain error: overflow: math range error\n"),
+    (["eval", "gpow(1e200, 2)"], "domain error: overflow: math range error (at offset 0)\n"),
+])
+def test_power_overflow_reads_as_a_range_error(tmp_path, argv, line):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == (3, "", line)
     assert not out.exists()
 
 

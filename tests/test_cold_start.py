@@ -3,7 +3,8 @@
 ``import groupcalc`` and the commands that never solve an eigenproblem
 (``eval``, ``check``, ``well``, ``repl``) load numpy only; ``solve`` imports
 ``scipy.linalg`` at its first eigensolve, through the module attribute
-``spectral.eigh_tridiagonal`` that callers (and tracers) may replace.
+``spectral.eigh_tridiagonal`` that callers (and tracers) may replace, and
+no other scipy package: splines are built in the repo.
 """
 
 import json
@@ -71,6 +72,43 @@ def test_solve_imports_the_eigensolver_at_its_first_solve(tmp_path):
     assert code == 0
     assert "scipy.linalg" in heavy
     assert (tmp_path / "spectrum_energies.csv").is_file()
+
+
+# Runs Python statements one after another in a fresh interpreter; after
+# each one prints the scipy modules loaded by then.
+_STEPS = """
+import contextlib, io, json, sys
+for source in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(source)
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_spectra_load_only_scipy_linalg(tmp_path):
+    """A g-path solve, a ``file:`` potential and ``transform_state`` never
+    load scipy's interpolation package."""
+    csv = tmp_path / "pot.csv"
+    csv.write_text("x,V\n" + "".join(f"{x!r},{x * x!r}\n" for x in np.linspace(-2, 2, 41).tolist()))
+    solve_g = ["solve", "--class", "tsallis:q=0.5", "--potential", "well:L=1", "--path", "g",
+               "--N", "51", "--k", "2", "--out", str(tmp_path / "g")]
+    solve_file = ["solve", "--class", "kaniadakis:k=1", "--potential", f"file:{csv}",
+                  "--N", "51", "--k", "2", "--out", str(tmp_path / "file")]
+    steps = [
+        f"from groupcalc import cli\nassert cli.main({solve_g!r}) == 0",
+        f"assert cli.main({solve_file!r}) == 0",
+        "from groupcalc import spectral, tsallis\n"
+        "phi = spectral.solve_well(tsallis(0.5), 1.0, 51, 2, path='g').states[0]\n"
+        "assert spectral.transform_state(tsallis(0.5), phi).grid.space == 'x'",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _STEPS, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(loaded) == 3
+    for modules in loaded:
+        assert "scipy.linalg" in modules
+        assert not [m for m in modules if m.startswith("scipy.interpolate")]
 
 
 def test_solve_eigen_calls_the_module_attribute(monkeypatch):
