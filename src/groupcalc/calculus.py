@@ -7,6 +7,15 @@ holds in both structures.
 
 Quadrature backends: adaptive Simpson (default) and composite 16-point
 Gauss-Legendre with panel doubling, both driven by an absolute tolerance.
+Both run over batch integrands, which map an array of nodes to an array of
+values: Simpson keeps its pending intervals on a stack in the depth-first
+order of the recursion and evaluates up to ``_SIMPSON_BATCH`` of them per
+call, Gauss-16 a bounded chunk of panels per call.  Each adds the values up
+as the per-point recursion and loop did, so every result, and every
+``ToleranceNotMet`` text, is theirs bit for bit.  The deformed integrals take
+A, G, G' and G^{-1} from the array forms of the class, one call per batch;
+the public :func:`integrate` calls its f once per node.  Every integral
+returns a Python float.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._libm import _Array
 from ._spline import CubicSpline
 from .config import DEFAULT_TOLERANCES, QUAD_BACKENDS, Tolerances
 from .errors import DomainError, ToleranceNotMet
@@ -38,6 +48,13 @@ class Func1D:
     def require_interior(self, x: float) -> None:
         if not self.lo < x < self.hi:
             raise DomainError(f"x = {x!r} outside function domain ({self.lo}, {self.hi})")
+
+    def require_interior_array(self, x: np.ndarray) -> None:
+        """:meth:`require_interior` at every element; the error names the
+        first element outside."""
+        outside = ~((self.lo < x) & (x < self.hi))
+        if outside.any():
+            self.require_interior(x[outside.argmax()].item())
 
 
 def as_func(f) -> Func1D:
@@ -62,8 +79,10 @@ def func_from_samples(xs, ys) -> Func1D:
 # ---------------------------------------------------------------------------
 
 
-def _fd(f, x: float, step_scale: float, order: int) -> float:
-    """Centered difference, 3-point (order=2) or 5-point (order=4) stencil."""
+def _fd(f, x, step_scale: float, order: int):
+    """Centered difference, 3-point (order=2) or 5-point (order=4) stencil:
+    at a float x of a per-point f, or at every node of an array x of a batch
+    integrand f."""
     h = step_scale * (1.0 + abs(x))
     if order >= 4:
         return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
@@ -88,6 +107,11 @@ def g_derivative(
     return a * _fd(f, x, tol.fd_step_scale, 4 if high_accuracy else 2)
 
 
+def _require_rising(slope: float, x: float) -> None:
+    if slope <= 0.0:
+        raise DomainError(f"G' must stay positive, got {slope!r} at x = {x!r}")
+
+
 def dual_g_derivative(
     cls: GroupClass,
     f,
@@ -99,39 +123,106 @@ def dual_g_derivative(
     f = as_func(f)
     f.require_interior(x)
     slope = cls.g_prime(x)
-    if slope <= 0.0:
-        raise DomainError(f"G' must stay positive, got {slope!r} at x = {x!r}")
+    _require_rising(slope, x)
     return _fd(f, x, tol.fd_step_scale, 4 if high_accuracy else 2) / slope
 
 
 # ---------------------------------------------------------------------------
 # quadrature backends
 # ---------------------------------------------------------------------------
+# Both backends integrate a batch integrand F, which maps a 1-d float64 array
+# of nodes to the array of integrand values there.  They evaluate the nodes of
+# many intervals or panels in one call of F and add the values up in the
+# order of the per-point recursion and loop they replace, so every result and
+# every ToleranceNotMet text equals theirs bit for bit; tests/test_calculus.py
+# keeps those as oracles.
+
+# Simpson intervals per call of F, taken from the top of the pending stack (2
+# nodes each): enough to spread numpy's fixed cost per call over ~1000 nodes,
+# few enough that an unreachable tolerance stops after about max_depth calls.
+_SIMPSON_BATCH = 512
+# Gauss-16 panels per call of F (16 nodes each), for the same reasons.
+_GAUSS_BATCH = 64
 
 
-def _adaptive_simpson(f, a, b, abs_tol, max_depth):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+# The columns of a pending Simpson interval: the recursion's arguments, then
+# its node id.  _KIDS picks the rows of an interval's two halves from the 16
+# columns of _halves.
+_A, _M, _B, _FA, _FM, _FB, _WHOLE, _TOL, _DEPTH, _NODE = range(10)
+_KIDS = np.array([[0, 6, 1, 3, 8, 4, 10, 12, 13, 14], [1, 7, 2, 4, 9, 5, 11, 12, 13, 15]])
+
+
+def _adaptive_simpson(F, a, b, abs_tol, max_depth):
+    """Adaptive Simpson over a stack of pending intervals kept in the
+    depth-first order of the recursion; each call of F takes up to
+    ``_SIMPSON_BATCH`` intervals from its top.
+
+    An interval's value is the sum of its two halves' values, as the
+    recursion returns it.  Where an interval misses the tolerance at
+    ``max_depth``, the intervals after it in that order are dropped, and its
+    ToleranceNotMet is raised once those before it are done: another stuck
+    interval among them takes its place.
+    """
+    m = 0.5 * (a + b)
+    fa, fm, fb = F(np.array([a, m, b])).tolist()
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            raise ToleranceNotMet(
-                f"adaptive Simpson hit depth {max_depth} on [{a}, {b}]"
+    stack = np.array([[a, m, b, fa, fm, fb, whole, abs_tol, 0.0, 0.0]])
+    top, count, failure = 1, 1, None
+    values, splits = [], []  # per batch: (nodes, values as leaves), (nodes, first child ids)
+    while top:
+        rows = stack[max(top - _SIMPSON_BATCH, 0) : top][::-1]  # the next one first
+        top -= len(rows)
+        mids, f_mids, halves, both, err = _simpson_step(F, rows)
+        values.append((rows[:, _NODE].astype(int), both + err / 15.0))
+        split = (~(np.abs(err) <= 15.0 * rows[:, _TOL])).nonzero()[0]  # nan splits
+        stuck = split[rows[split, _DEPTH] >= max_depth]
+        if stuck.size:  # the recursion visits nothing after the first stuck interval
+            n = stuck[0]
+            failure = (
+                f"adaptive Simpson hit depth {max_depth} on "
+                f"[{rows[n, _A].item()}, {rows[n, _B].item()}]"
             )
-        half = 0.5 * tol
-        return recurse(a, fa, m, fm, lm, flm, left, half, depth + 1) + recurse(
-            m, fm, b, fb, rm, frm, right, half, depth + 1
-        )
+            top, split = 0, split[split < n]
+        if not split.size:
+            continue
+        kids = _halves(rows, mids, f_mids, halves, count)[split[:, None, None], _KIDS]
+        splits.append((rows[split, _NODE].astype(int), kids[:, 0, _NODE].astype(int)))
+        count += 2 * len(rows)
+        if top + 2 * split.size > len(stack):
+            stack = np.concatenate((stack[:top], np.empty((top + 2 * split.size, 10))))
+        stack[top : top + 2 * split.size] = kids.reshape(-1, 10)[::-1]
+        top += 2 * split.size
+    if failure is not None:
+        raise ToleranceNotMet(failure)
+    value = np.empty(count)
+    for node, leaf in values:
+        value[node] = leaf
+    for node, first in reversed(splits):  # a parent's halves come in later batches
+        value[node] = value[first] + value[first + 1]
+    return value[0].item()
 
-    return recurse(a, fa, b, fb, 0.5 * (a + b), fm, whole, abs_tol, 0)
+
+def _simpson_step(F, rows):
+    """One Simpson step on each interval of ``rows``, as the recursion takes
+    it: the midpoints (lm, rm) of its halves, F there, the halves' values
+    (left, right), their sum, and the error estimate left + right - whole."""
+    mids = 0.5 * (rows[:, _A:_B] + rows[:, _M : _B + 1])
+    f_mids = F(mids.ravel()).reshape(mids.shape)
+    # ((m - a) / 6 (fa + 4 flm + fm), (b - m) / 6 (fm + 4 frm + fb))
+    halves = (rows[:, _M : _B + 1] - rows[:, _A:_B]) / 6.0 * (
+        rows[:, _FA:_FB] + 4.0 * f_mids + rows[:, _FM : _FB + 1]
+    )
+    both = halves[:, 0] + halves[:, 1]
+    return mids, f_mids, halves, both, both - rows[:, _WHOLE]
+
+
+def _halves(rows, mids, f_mids, halves, count):
+    """Per interval the columns a, m, b, fa, fm, fb, lm, rm, flm, frm, left,
+    right, its halves' tolerance and depth, and their node ids, numbered
+    from ``count``."""
+    ids = np.arange(count, count + 2 * len(rows), dtype=float).reshape(-1, 2)
+    half_tol, deeper = 0.5 * rows[:, _TOL : _TOL + 1], rows[:, _DEPTH : _DEPTH + 1] + 1.0
+    return np.concatenate((rows[:, :6], mids, f_mids, halves, half_tol, deeper, ids), axis=1)
 
 
 def _legval(x, c):
@@ -171,22 +262,30 @@ def _gauss_legendre_16():
     return x, w
 
 
-def _gauss16_panels(f, a, b, panels):
-    total = 0.0
+def _gauss16_panels(F, a, b, panels):
+    """The 16-point rule on ``panels`` equal panels of [a, b], the panel
+    values added up in panel order."""
     nodes, weights = _gauss_legendre_16()
     edges = np.linspace(a, b, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        total += half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
+    total = 0.0
+    for start in range(0, panels, _GAUSS_BATCH):
+        stop = min(start + _GAUSS_BATCH, panels)
+        lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = F((mid[:, None] + half[:, None] * nodes).ravel()).reshape(-1, nodes.size)
+        # a panel's sum() from left to right; cumsum adds in that order, and
+        # the one bit it skips, 0 + -0.0 = 0.0, is lost in the total anyway
+        panel = np.cumsum(weights * fx, axis=1)[:, -1]
+        for value in (half * panel).tolist():
+            total += value
     return total
 
 
-def _gauss16(f, a, b, abs_tol, max_depth):
-    prev = _gauss16_panels(f, a, b, 1)
+def _gauss16(F, a, b, abs_tol, max_depth):
+    prev = _gauss16_panels(F, a, b, 1)
     panels = 2
     for _ in range(max_depth):
-        cur = _gauss16_panels(f, a, b, panels)
+        cur = _gauss16_panels(F, a, b, panels)
         if abs(cur - prev) <= abs_tol:
             return cur
         prev = cur
@@ -197,16 +296,33 @@ def _gauss16(f, a, b, abs_tol, max_depth):
 _QUADRATURE = dict(zip(QUAD_BACKENDS, (_adaptive_simpson, _gauss16)))
 
 
-def integrate(f, a: float, b: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Plain definite integral with the configured backend."""
+def _integrate(F, a, b, tol: Tolerances) -> float:
+    """Definite integral of the batch integrand F with the configured backend.
+    An inf or nan on the way comes without a numpy warning, as it does in
+    float arithmetic."""
     if a == b:
         return 0.0
-    return _QUADRATURE[tol.quad_backend](as_func(f), a, b, tol.quad_abs, tol.quad_max_depth)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _QUADRATURE[tol.quad_backend](F, a, b, tol.quad_abs, tol.quad_max_depth)
+
+
+def _each(f):
+    """The batch integrand that calls the per-point rule f once per node."""
+    return functools.partial(_Array.each, as_func(f).rule)
+
+
+def integrate(f, a: float, b: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """Plain definite integral with the configured backend.  f is called once
+    per node, a batch of nodes at a time."""
+    return _integrate(_each(f), a, b, tol)
 
 
 # ---------------------------------------------------------------------------
 # deformed integrals
 # ---------------------------------------------------------------------------
+# The integrands take A, G, G' and G^-1 from the array forms of the class, one
+# call per batch of nodes; each element equals the scalar method's value, so
+# the integrals equal the per-point ones bit for bit.
 
 
 def g_integral(
@@ -225,15 +341,15 @@ def g_integral(
     * ``method="substitution"``: change variables to u = G^{-1}(x) and
       integrate f(G(u)) du over [G^{-1}(a), G^{-1}(b)].
     """
-    f = as_func(f)
+    F = _each(f)
     if method == "substitution":
         ua, ub = cls.g_inv(a), cls.g_inv(b)
-        return integrate(lambda u: f(cls.g(u)), ua, ub, tol)
+        return _integrate(lambda u: F(cls.g_array(u)), ua, ub, tol)
     if method != "weight":
         raise ValueError(f"unknown method {method!r}")
     cls.require_in_domain(a)
     cls.require_in_domain(b)
-    return integrate(lambda x: f(x) / cls.deformation_factor(x), a, b, tol)
+    return _integrate(lambda x: F(x) / cls.deformation_factor_array(x), a, b, tol)
 
 
 def dual_g_integral(
@@ -245,13 +361,13 @@ def dual_g_integral(
     method: str = "weight",
 ) -> float:
     """Dual deformed integral: f(x) G'(x) dx over [a, b]."""
-    f = as_func(f)
+    F = _each(f)
     if method == "substitution":
         va, vb = cls.g(a), cls.g(b)
-        return integrate(lambda v: f(cls.g_inv(v)), va, vb, tol)
+        return _integrate(lambda v: F(cls.g_inv_array(v)), va, vb, tol)
     if method != "weight":
         raise ValueError(f"unknown method {method!r}")
-    return integrate(lambda x: f(x) * cls.g_prime(x), a, b, tol)
+    return _integrate(lambda x: F(x) * cls.g_prime_array(x), a, b, tol)
 
 
 class FundamentalTheoremResidual(NamedTuple):
@@ -272,13 +388,32 @@ def fundamental_theorem_residual(
     For smooth f both residuals should sit at the quadrature/differencing
     noise floor (<= 1e-8 for polynomials at default settings; the 5-point
     stencil pushes trigonometric test functions below 1e-10).
+
+    The integrands are :func:`g_derivative` over A and
+    :func:`dual_g_derivative` times G', at a whole batch of nodes, with A
+    and G' computed once per node: (A f') / A and (f' / G') G'.
     """
     f = as_func(f)
+    F = _each(f)
     delta = f(b) - f(a)
-    primal = g_integral(
-        cls, lambda x: g_derivative(cls, f, x, tol, high_accuracy), a, b, tol
+    order = 4 if high_accuracy else 2
+
+    def primal(x):
+        f.require_interior_array(x)
+        weight = cls.deformation_factor_array(x)
+        return weight * _fd(F, x, tol.fd_step_scale, order) / weight
+
+    def dual(x):
+        f.require_interior_array(x)
+        slope = cls.g_prime_array(x)
+        bad = slope <= 0.0
+        if bad.any():
+            i = bad.argmax()
+            _require_rising(slope[i].item(), x[i].item())
+        return _fd(F, x, tol.fd_step_scale, order) / slope * slope
+
+    cls.require_in_domain(a)  # as g_integral's weight route checks
+    cls.require_in_domain(b)
+    return FundamentalTheoremResidual(
+        abs(_integrate(primal, a, b, tol) - delta), abs(_integrate(dual, a, b, tol) - delta)
     )
-    dual = dual_g_integral(
-        cls, lambda x: dual_g_derivative(cls, f, x, tol, high_accuracy), a, b, tol
-    )
-    return FundamentalTheoremResidual(abs(primal - delta), abs(dual - delta))

@@ -24,9 +24,14 @@ formula over ``_Array``, which calls libm once per element.  A subclass of
 :class:`GroupClass` that defines only scalar methods gets array forms that
 loop over them.  The numerically inverted classes run their inversions as
 masked vector copies of the scalar iterations, in which every element takes
-the scalar's steps and stops on its own.  An array with an element outside
-the domain raises the scalar's DomainError for the first such element,
-before any other error.
+the scalar's steps and stops on its own.  The abe inverse takes each bracket
+and bisection decision "G(t) < s" from numpy's vector ``exp`` where that G
+lies further from s than two faithful exps can part (``_EXP_MARGIN``), and
+from libm elsewhere; its Newton polish stays on libm, so each element is the
+scalar's bit for bit.  Arrays shorter than ``_VECTOR_INVERT_MIN`` take the
+scalar inverse per element.  An array with an element outside the domain
+raises the scalar's DomainError for the first such element, before any
+other error.
 """
 
 from __future__ import annotations
@@ -347,7 +352,30 @@ class AbeClass(_OneFormula):
 
     def g_inv_array(self, s):
         self.require_in_domain_array(s)
-        return _Array.run(_bracketed_invert_array, self.g, self.g_prime, s, self.tol)
+        if s.size < _VECTOR_INVERT_MIN:
+            return _Array.each(lambda si: _bracketed_invert(self.g, self.g_prime, si, self.tol), s)
+        return _Array.run(
+            _bracketed_invert_array, self.g, self.g_prime, self._g_against, s, self.tol
+        )
+
+    def _g_against(self, t, s):
+        """An array on the side of s where G(t) lies at every element, G(t) as
+        the scalar bracket takes it (libm's exp, an overflow as +-inf).
+
+        It is G(t) by numpy's exp where that lies more than ``_EXP_MARGIN``
+        of the exponentials' size away from s: further than two faithful
+        exps can part it from libm's G.  Elsewhere, and where a value is not
+        finite or an exp nears overflow, it is libm's G.
+        """
+        a, b = self.a, self.b
+        ea, eb = np.exp(a * t), np.exp(b * t)
+        size = ea + eb
+        g = (ea - eb) / (a - b)
+        sure = (np.abs(g - s) > _EXP_MARGIN / abs(a - b) * size) & (size < _EXP_CEIL)
+        if not sure.all():
+            unsure = ~sure
+            g[unsure] = _g_or_inf(self.g, t[unsure], _Array)
+        return g
 
     def spec_string(self):
         return f"abe:a={_fmt_param(self.a)},b={_fmt_param(self.b)}"
@@ -554,6 +582,22 @@ def _bracketed_invert(g, g_prime, s: float, tol: Tolerances) -> float:
     raise ConvergenceError(f"Newton polish did not converge for s={s!r}")
 
 
+# Below this many elements the abe array inverse calls the scalar one per
+# element.  Its ~25 vector steps cost ~0.5 ms whatever the length, the
+# scalar inverse 10-15 us per element, and they break even at 50-80 elements.
+_VECTOR_INVERT_MIN = 64
+# The relative gap, in units of (e^{at} + e^{bt})/|a - b|, beyond which G(t)
+# from numpy's exp decides a bracket or bisection step.  Two exps that are
+# faithful (error < 1 ulp) put G within ~1e-15 of that unit of each other, so
+# the margin is ~1e6 times wider than any gap they can open.  libm still takes
+# a decision for about 1 element in 1000, whose bisection passes that close
+# to its root.
+_EXP_MARGIN = 1e-9
+# Where numpy's e^{at} + e^{bt} stays below this, far under DBL_MAX = 1.8e308,
+# no libm exp overflows; where a libm exp overflows, numpy's sum passes it.
+_EXP_CEIL = 1e307
+
+
 def _g_or_inf(g, t: np.ndarray, _m) -> np.ndarray:
     """g(t), where an element whose g overflows takes +-inf with its sign:
     the rule of the scalar bracket, which guards each g call with ``try``."""
@@ -570,13 +614,17 @@ def _g_or_inf(g, t: np.ndarray, _m) -> np.ndarray:
     return out
 
 
-def _bracketed_invert_array(g, g_prime, s: np.ndarray, tol: Tolerances, _m) -> np.ndarray:
+def _bracketed_invert_array(
+    g, g_prime, g_against, s: np.ndarray, tol: Tolerances, _m
+) -> np.ndarray:
     """Masked vector copy of :func:`_bracketed_invert` over the elements of s,
     with g and g_prime taken over the namespace ``_m``.
 
     Every element takes the scalar's bracket growth, bisection and Newton
     steps and leaves each stage on its own stop rule, so element i is the
-    scalar result for s[i] bit for bit.
+    scalar result for s[i] bit for bit.  ``g_against(t, s)`` takes the
+    bracket and bisection decisions: at every element it is on the same side
+    of s as the scalar's g(t), an overflow counting as +-inf.
     """
     t = np.zeros(s.shape)  # G(0) = 0 keeps the fixed point s = 0 exact
     lo, hi = np.full(s.shape, -1.0), np.full(s.shape, 1.0)
@@ -585,7 +633,7 @@ def _bracketed_invert_array(g, g_prime, s: np.ndarray, tol: Tolerances, _m) -> n
     for edge, outside in ((lo, np.greater), (hi, np.less)):
         active = live
         for _ in range(61):  # the scalar gives up after 60 doublings
-            active = active[outside(_g_or_inf(g, edge[active], _m), s[active])]
+            active = active[outside(g_against(edge[active], s[active]), s[active])]
             edge[active] *= 2.0
             if not active.size:
                 break
@@ -595,15 +643,19 @@ def _bracketed_invert_array(g, g_prime, s: np.ndarray, tol: Tolerances, _m) -> n
             live = np.setdiff1d(live, active)
 
     active = live
+    l, h, sa = lo[active], hi[active], s[active]
     for _ in range(80):
         if not active.size:
             break
-        l, h = lo[active], hi[active]
         mid = 0.5 * (l + h)
-        below = _g_or_inf(g, mid, _m) < s[active]
+        below = g_against(mid, sa) < sa
         l, h = np.where(below, mid, l), np.where(below, h, mid)
-        lo[active], hi[active] = l, h
-        active = active[~(h - l < 1e-6 * (1.0 + np.abs(mid)))]
+        short = h - l < 1e-6 * (1.0 + np.abs(mid))
+        if short.any():  # these leave: store their bracket
+            lo[active[short]], hi[active[short]] = l[short], h[short]
+            going = ~short
+            active, l, h, sa = active[going], l[going], h[going], sa[going]
+    lo[active], hi[active] = l, h
 
     t[live] = 0.5 * (lo[live] + hi[live])
     active = live

@@ -1,9 +1,13 @@
 """Deformed derivatives and integrals: closed forms, identities, backends."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcalc import (
     BG,
@@ -21,9 +25,12 @@ from groupcalc import (
     g_integral,
     integrate,
     kaniadakis,
+    series,
     tsallis,
 )
-from groupcalc.checks import run_checks
+from groupcalc import calculus
+from groupcalc.calculus import _gauss_legendre_16
+from groupcalc.checks import _sample_range, run_checks
 
 LN2 = 0.6931471805599453
 ASINH1 = 0.8813735870195430
@@ -205,3 +212,207 @@ def test_unknown_integration_method_rejected_for_every_class(cls):
     for integral in (g_integral, dual_g_integral):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             integral(cls, lambda x: 1.0, 0.0, 1.0, method="bogus")
+
+
+# -- oracles: the per-point recursion and loop the batch backends replaced -----
+
+
+def oracle_simpson(f, a, b, abs_tol, max_depth):
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        if depth >= max_depth:
+            raise ToleranceNotMet(f"adaptive Simpson hit depth {max_depth} on [{a}, {b}]")
+        half = 0.5 * tol
+        return recurse(a, fa, m, fm, lm, flm, left, half, depth + 1) + recurse(
+            m, fm, b, fb, rm, frm, right, half, depth + 1
+        )
+
+    return recurse(a, fa, b, fb, 0.5 * (a + b), fm, whole, abs_tol, 0)
+
+
+def oracle_gauss16_panels(f, a, b, panels):
+    total = 0.0
+    nodes, weights = _gauss_legendre_16()
+    edges = np.linspace(a, b, panels + 1)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        total += half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
+    return total
+
+
+def oracle_gauss16(f, a, b, abs_tol, max_depth):
+    prev = oracle_gauss16_panels(f, a, b, 1)
+    panels = 2
+    for _ in range(max_depth):
+        cur = oracle_gauss16_panels(f, a, b, panels)
+        if abs(cur - prev) <= abs_tol:
+            return cur
+        prev = cur
+        panels *= 2
+    raise ToleranceNotMet(f"Gauss-Legendre doubling exceeded {max_depth} rounds on [{a}, {b}]")
+
+
+def oracle_integrate(f, a, b, tol):
+    if a == b:
+        return 0.0
+    quadrature = {"simpson": oracle_simpson, "gauss16": oracle_gauss16}[tol.quad_backend]
+    return quadrature(f, a, b, tol.quad_abs, tol.quad_max_depth)
+
+
+def oracle_g_integral(cls, f, a, b, tol, method):
+    if method == "substitution":
+        return oracle_integrate(lambda u: f(cls.g(u)), cls.g_inv(a), cls.g_inv(b), tol)
+    cls.require_in_domain(a)
+    cls.require_in_domain(b)
+    return oracle_integrate(lambda x: f(x) / cls.deformation_factor(x), a, b, tol)
+
+
+def oracle_dual_g_integral(cls, f, a, b, tol, method):
+    if method == "substitution":
+        return oracle_integrate(lambda v: f(cls.g_inv(v)), cls.g(a), cls.g(b), tol)
+    return oracle_integrate(lambda x: f(x) * cls.g_prime(x), a, b, tol)
+
+
+def oracle_fundamental_theorem_residual(cls, f, a, b, tol, high_accuracy):
+    delta = f(b) - f(a)
+    primal = oracle_g_integral(
+        cls, lambda x: g_derivative(cls, f, x, tol, high_accuracy), a, b, tol, "weight"
+    )
+    dual = oracle_dual_g_integral(
+        cls, lambda x: dual_g_derivative(cls, f, x, tol, high_accuracy), a, b, tol, "weight"
+    )
+    return abs(primal - delta), abs(dual - delta)
+
+
+def _bits(fn, *args):
+    """float.hex of each value fn returns, or the type and text of its error."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle's error is the reference
+        return type(exc), str(exc)
+    return [float(v).hex() for v in (out if isinstance(out, tuple) else (out,))]
+
+
+BUILTIN_CLASSES = [
+    BG, tsallis(0.5), tsallis(0.0), tsallis(1.5), kaniadakis(1.0), kaniadakis(2.0),
+    abe(1.0, -1.0), abe(0.7, -0.2), abe(1.0, 0.0), series([0.3]), series([0.2, -0.1]),
+]
+INTEGRANDS = [lambda x: 1.0, lambda x: x * x, lambda x: x**3, math.sin, lambda x: math.exp(-x)]
+
+
+@given(
+    cls=st.sampled_from(BUILTIN_CLASSES),
+    backend=st.sampled_from(["simpson", "gauss16"]),
+    method=st.sampled_from(["weight", "substitution"]),
+    quad_exp=st.floats(6.0, 13.0),
+    max_depth=st.sampled_from([2, 5, 40]),
+    f=st.sampled_from(INTEGRANDS),
+    ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)).map(sorted).flatmap(st.permutations),
+    high_accuracy=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_deformed_integrals_match_oracle(cls, backend, method, quad_exp, max_depth, f, ends,
+                                         high_accuracy):
+    # every value and every ToleranceNotMet text of the batch backends is the
+    # per-point oracle's, bit for bit, on intervals of either orientation
+    lo, hi = _sample_range(cls, margin=0.4)
+    lo, hi = max(lo, -1.0), min(hi, 1.5)
+    a, b = (lo + (hi - lo) * e for e in ends)
+    tol = Tolerances(quad_backend=backend, quad_abs=10.0**-quad_exp, quad_max_depth=max_depth)
+    for new, old in ((g_integral, oracle_g_integral), (dual_g_integral, oracle_dual_g_integral)):
+        assert _bits(new, cls, f, a, b, tol, method) == _bits(old, cls, f, a, b, tol, method)
+    assert _bits(integrate, f, a, b, tol) == _bits(oracle_integrate, f, a, b, tol)
+    assert _bits(fundamental_theorem_residual, cls, f, a, b, tol, high_accuracy) == _bits(
+        oracle_fundamental_theorem_residual, cls, f, a, b, tol, high_accuracy
+    )
+
+
+@pytest.mark.parametrize("backend", ["simpson", "gauss16"])
+@pytest.mark.parametrize("error", [DomainError, ValueError, ZeroDivisionError])
+def test_integrand_error_matches_oracle(backend, error):
+    def f(x):
+        if 0.6 < x < 0.8:
+            raise error(f"no value at {x}")
+        return math.sin(x)
+
+    tol = Tolerances(quad_backend=backend)
+    for run in (integrate, oracle_integrate):
+        with pytest.raises(error):
+            run(f, 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("backend", ["simpson", "gauss16"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_integrand_matches_oracle(backend, bad):
+    # a nan error estimate never meets the tolerance, so both split to the end
+    tol = Tolerances(quad_backend=backend, quad_max_depth=8)
+    f = lambda x: bad if 0.26 < x < 0.32 else math.sin(5.0 * x)
+    with np.errstate(invalid="ignore"):  # the oracle's numpy scalars warn at inf - inf
+        want = _bits(oracle_integrate, f, 0.0, 1.0, tol)
+    assert want[0] is ToleranceNotMet  # a node in (0.26, 0.32) is reached
+    assert _bits(integrate, f, 0.0, 1.0, tol) == want
+
+
+def test_unreachable_tolerance_stops_after_bounded_points():
+    # The finite-difference noise of the integrand sits far above 1e-300, so
+    # nearly every interval splits down to the depth limit.  The recursion
+    # raises on its leftmost path; the batched stack raises on the same
+    # interval after at most one batch per depth level.
+    cls, tol = tsallis(0.5), Tolerances(quad_abs=1e-300)
+    points = []
+
+    def f(x):
+        points.append(x)
+        return g_derivative(cls, math.sin, x, tol)
+
+    with pytest.raises(ToleranceNotMet) as batched:
+        integrate(f, 0.0, 1.0, tol)
+    batched_points = len(points)
+    points.clear()
+    with pytest.raises(ToleranceNotMet) as recursive:
+        oracle_integrate(f, 0.0, 1.0, tol)
+    assert str(batched.value) == str(recursive.value)
+    assert len(points) == 95  # a few deep intervals on its path meet the tolerance
+    bound = 3 + 2 * calculus._SIMPSON_BATCH * (tol.quad_max_depth + 1)
+    assert len(points) < batched_points <= bound
+
+
+def test_stuck_interval_raised_after_earlier_ones():
+    # An earlier interval that gets stuck deeper in the tree wins over a later
+    # one found stuck first in the same batch.
+    tol = Tolerances(quad_abs=1e-12, quad_max_depth=6)
+    f = lambda x: math.sqrt(abs(x - 0.3717)) + math.sqrt(abs(x - 0.05))
+    with pytest.raises(ToleranceNotMet) as batched:
+        integrate(f, 0.0, 1.0, tol)
+    with pytest.raises(ToleranceNotMet) as recursive:
+        oracle_integrate(f, 0.0, 1.0, tol)
+    assert str(batched.value) == str(recursive.value)
+
+
+@pytest.mark.parametrize("backend", ["simpson", "gauss16"])
+def test_results_are_python_float_and_bool(backend):
+    tol = Tolerances(quad_backend=backend)
+    cls = tsallis(0.5)
+    values = [
+        integrate(math.sin, 0.0, 1.0, tol),
+        g_integral(cls, math.sin, 0.0, 1.0, tol),
+        g_integral(cls, math.sin, 0.0, 1.0, tol, method="substitution"),
+        dual_g_integral(cls, math.sin, 0.0, 1.0, tol),
+        *fundamental_theorem_residual(cls, math.sin, 0.0, 1.0, tol),
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
+    for cls in (BG, tsallis(0.5), kaniadakis(1.0), abe(1.0, -1.0), series([0.3])):
+        results = run_checks(cls, tol)
+        assert {(type(r.passed), type(r.residual)) for r in results} == {(bool, float)}
+        json.dumps([dataclasses.asdict(r) for r in results])

@@ -22,6 +22,7 @@ from groupcalc import (
     sin_g,
     tsallis,
 )
+from groupcalc import groups
 from groupcalc.groups import exp_g_array, log_g_array
 
 LN2 = 0.6931471805599453
@@ -402,3 +403,87 @@ def test_exp_g_array_edge_value():
     assert exp_g_array(abe(1.0, 0.0), np.array([0.0, -1.0])).tolist() == [1.0, 0.0]
     with pytest.raises(DomainError, match="-2.5"):
         exp_g_array(tsallis(0.5), np.array([0.0, -2.0, -2.5]))
+
+
+# -- the abe array inverse at the margin of its numpy decisions ----------------
+
+
+def _g_values(cls, s):
+    """The values of G that the scalar inverse compares with s or polishes."""
+    seen = []
+
+    def g(t):
+        seen.append(cls.g(t))
+        return seen[-1]
+
+    try:
+        groups._bracketed_invert(g, cls.g_prime, s, cls.tol)
+    except (ConvergenceError, OverflowError):  # G's exp may overflow at the root
+        pass
+    return seen
+
+
+def _with_neighbours(values, ulps=3):
+    """Each value and the floats up to ``ulps`` ulps below and above it."""
+    out = []
+    for v in values:
+        out.append(v)
+        down = up = np.float64(v)
+        for _ in range(ulps):
+            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+            out += [down.item(), up.item()]
+    return out
+
+
+ABE_PARAMETERS = st.one_of(
+    st.tuples(st.floats(0.05, 3.0), st.floats(-3.0, -0.05)),
+    st.tuples(st.floats(0.05, 3.0), st.just(0.0)),  # a finite lower domain edge
+    st.tuples(st.just(0.0), st.floats(-3.0, -0.05)),  # a finite upper domain edge
+    st.floats(0.0, 1e-7).map(lambda a: (a, a - 1e-7)),  # a - b = 1e-7
+)
+TARGETS = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.floats(1e300, 1.7e308),  # past where exp overflows while the bracket grows
+    st.floats(-1.7e308, -1e300),
+)
+
+
+@given(ab=ABE_PARAMETERS, targets=st.lists(TARGETS, min_size=1, max_size=3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_abe_array_inverse_at_decision_margin(ab, targets, data):
+    # s = G(t) a few ulps either side, at every t where the scalar bracket and
+    # bisection evaluate G, puts G(t) - s inside the margin where numpy's exp
+    # may not decide.  The array inverse must still have the scalar's bits.
+    cls = abe(*ab)
+    lo, hi = cls.domain
+    near_edge = [np.nextafter(edge, 0.0).item() for edge in (lo, hi) if math.isfinite(edge)]
+    s = []
+    for target in targets + near_edge:
+        s0 = min(max(target, lo), hi)
+        if cls.contains(s0):
+            s += [s0] + _with_neighbours(v for v in _g_values(cls, s0) if math.isfinite(v))
+    scales = 10.0 ** np.arange(-3.0, 301.0, 8.0)  # a - b = 1e-7 inverts only at large |s|
+    s += np.linspace(max(lo, -5.0), min(hi, 5.0), 34)[1:-1].tolist() + [*scales, *-scales]
+    s = _scalar_inverts(cls, [v for v in s if cls.contains(v)])
+    # a - b = 1e-7 with a or b near 0 bounds G near 1e7 on one side, and the
+    # scalar inverts few of the inputs there: repeat them up to the vector size
+    s *= -(-groups._VECTOR_INVERT_MIN // len(s))
+    s = np.array(data.draw(st.permutations(s)))
+    assert s.size >= groups._VECTOR_INVERT_MIN  # the vector path runs
+    assert _outcome(cls.g_inv_array, s) == _outcome(_scalar_loop(cls.g_inv), s)
+
+
+def test_abe_decisions_inside_margin_are_libm():
+    # Where numpy's exp and libm's exp round G(t) apart, s = libm's G(t) is
+    # inside the margin: the side of s that G(t) is on must be libm's.
+    cls = abe(1.0, -1.0)
+    t = np.linspace(-3.0, 3.0, 4001)
+    s = cls.g_array(t)
+    by_numpy = (np.exp(t) - np.exp(-t)) / 2.0
+    apart = by_numpy != s
+    if not apart.any():
+        pytest.skip("numpy's exp rounds as libm's does on this machine")
+    assert (cls._g_against(t[apart], s[apart]) == s[apart]).all()
+    # away from the margin numpy decides
+    far = s + 1e-6 * (1.0 + np.abs(s))
+    assert (cls._g_against(t, far) == by_numpy).all()
