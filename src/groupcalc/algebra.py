@@ -16,25 +16,16 @@ a :class:`groupcalc.spectral.Grid`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._libm import _Array
+from ._libm import _clamps, _Scalar
 from .errors import DomainError
 from .groups import GroupClass, exp_g, log_g
-
-_local = threading.local()
-
-
-def _set_clamped():
-    _local.clamped = True
 
 
 def reset_clamp_flag() -> None:
     """Clear the per-thread cutoff flag."""
-    _local.clamped = False
+    _clamps.seen = False
 
 
 def clamp_occurred() -> bool:
@@ -43,32 +34,11 @@ def clamp_occurred() -> bool:
     Lets callers distinguish a genuine zero from a value silently forced to
     zero by the ``[.]_+`` convention.  The flag is thread-local.
     """
-    return getattr(_local, "clamped", False)
+    return getattr(_clamps, "seen", False)
 
 
-def cutoff_pow(base: float, exponent: float) -> float:
-    """``[base]_+ ** exponent``: non-negative part before exponentiation.
-
-    A negative base is clamped to 0 and recorded via the clamp flag.
-    """
-    if base < 0.0:
-        _set_clamped()
-        return 0.0
-    return base**exponent
-
-
-def cutoff_pow_array(base: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cutoff_pow` at every element of base, as ``(values, clamped)``.
-
-    ``clamped`` marks the elements whose scalar call clamps; the clamp flag is
-    set if any element clamps.
-    """
-    clamped = base < 0.0
-    values = np.zeros(base.shape)
-    values[~clamped] = _Array.pow(base[~clamped], exponent)
-    if clamped.any():
-        _set_clamped()
-    return values, clamped
+# written once in groupcalc._libm, which runs it over arrays too
+cutoff_pow = _Scalar.cutoff_pow
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._libm import _Array
+from ._libm import _Array, _Scalar
 from ._spline import CubicSpline
 from .config import DEFAULT_TOLERANCES, QUAD_BACKENDS, Tolerances
 from .errors import DomainError, ToleranceNotMet
@@ -45,16 +45,10 @@ class Func1D:
     def __call__(self, x: float) -> float:
         return self.rule(x)
 
-    def require_interior(self, x: float) -> None:
-        if not self.lo < x < self.hi:
-            raise DomainError(f"x = {x!r} outside function domain ({self.lo}, {self.hi})")
-
-    def require_interior_array(self, x: np.ndarray) -> None:
-        """:meth:`require_interior` at every element; the error names the
-        first element outside."""
-        outside = ~((self.lo < x) & (x < self.hi))
-        if outside.any():
-            self.require_interior(x[outside.argmax()].item())
+    def require_interior(self, x: float, _m=_Scalar) -> None:
+        _m.reject(_m.not_((self.lo < x) & (x < self.hi)), lambda x: DomainError(
+            f"x = {x!r} outside function domain ({self.lo}, {self.hi})"
+        ), x)
 
 
 def as_func(f) -> Func1D:
@@ -107,9 +101,10 @@ def g_derivative(
     return a * _fd(f, x, tol.fd_step_scale, 4 if high_accuracy else 2)
 
 
-def _require_rising(slope: float, x: float) -> None:
-    if slope <= 0.0:
-        raise DomainError(f"G' must stay positive, got {slope!r} at x = {x!r}")
+def _require_rising(slope: float, x: float, _m=_Scalar) -> None:
+    _m.reject(slope <= 0.0, lambda slope, x: DomainError(
+        f"G' must stay positive, got {slope!r} at x = {x!r}"
+    ), slope, x)
 
 
 def dual_g_derivative(
@@ -399,17 +394,14 @@ def fundamental_theorem_residual(
     order = 4 if high_accuracy else 2
 
     def primal(x):
-        f.require_interior_array(x)
+        f.require_interior(x, _Array)
         weight = cls.deformation_factor_array(x)
         return weight * _fd(F, x, tol.fd_step_scale, order) / weight
 
     def dual(x):
-        f.require_interior_array(x)
+        f.require_interior(x, _Array)
         slope = cls.g_prime_array(x)
-        bad = slope <= 0.0
-        if bad.any():
-            i = bad.argmax()
-            _require_rising(slope[i].item(), x[i].item())
+        _require_rising(slope, x, _Array)
         return _fd(F, x, tol.fd_step_scale, order) / slope * slope
 
     cls.require_in_domain(a)  # as g_integral's weight route checks

@@ -3,29 +3,29 @@
 Direct transcriptions of the textbook q-algebra and kappa-algebra, used as
 independent oracles for the generic operations in :mod:`groupcalc.algebra`
 (generic Tsallis must equal the q-forms, generic Kaniadakis the kappa-forms).
-They deliberately do not share code with the generic path.
+They share only the libm rule of :mod:`groupcalc._libm` and its clamp flag
+with the generic path.
 
 Cutoff convention: a bracketed base ``[.]_+`` that goes negative is clamped
 to zero and flagged (see :func:`groupcalc.algebra.clamp_occurred`).
 
-The sum, difference, product and quotient have array twins (``q_sum_array``,
-..., ``kappa_div_array``) whose element i equals the scalar form at
-(x[i], y[i]) bit for bit, under the libm rule of :mod:`groupcalc._libm`.
-``q_sum``, ``kappa_sum`` and ``kappa_sub`` are written once and run over
-arrays as they are; the other twins keep bodies of their own, for a pole
-check or a clamp mask.  The product and quotient twins return
+The sum, difference, product and quotient are written once, over the
+namespace ``_m``; their array twins (``q_sum_array``, ...,
+``kappa_div_array``) run that formula over ``_Array``, so element i equals
+the scalar form at (x[i], y[i]) bit for bit and an error is the scalar's for
+the first element that raises it.  The product and quotient twins return
 ``(values, clamped)``, where ``clamped`` marks the elements whose scalar call
 clamps a cutoff base.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from ._libm import _Array, _Scalar
-from .algebra import cutoff_pow, cutoff_pow_array
+from ._libm import _Array, _clamps, _Scalar
 from .errors import DomainError
 
 # -- q-algebra ---------------------------------------------------------------
@@ -40,7 +40,7 @@ def _gamma(q: float) -> float:
 def q_exp(q: float, x: float) -> float:
     """[1 + (1-q) x]_+ ** (1/(1-q))."""
     g = _gamma(q)
-    return cutoff_pow(1.0 + g * x, 1.0 / g)
+    return _Scalar.cutoff_pow(1.0 + g * x, 1.0 / g)
 
 
 def q_log(q: float, x: float) -> float:
@@ -51,39 +51,35 @@ def q_log(q: float, x: float) -> float:
     return (x**g - 1.0) / g
 
 
-def q_sum(q: float, x: float, y: float) -> float:
+def q_sum(q: float, x: float, y: float, _m=_Scalar) -> float:
     return x + y + _gamma(q) * x * y
 
 
-def q_sub(q: float, x: float, y: float) -> float:
-    g = _gamma(q)
-    denom = 1.0 + g * y
-    if denom == 0.0:
-        raise DomainError(f"q_sub pole: y = {y!r} = -1/(1-q)")
+def q_sub(q: float, x: float, y: float, _m=_Scalar) -> float:
+    denom = 1.0 + _gamma(q) * y
+    _m.reject(denom == 0.0, lambda y: DomainError(f"q_sub pole: y = {y!r} = -1/(1-q)"), y)
     return (x - y) / denom
 
 
 def q_neg(q: float, x: float) -> float:
-    g = _gamma(q)
-    denom = 1.0 + g * x
-    if denom == 0.0:
-        raise DomainError(f"q_neg pole: x = {x!r} = -1/(1-q)")
+    denom = 1.0 + _gamma(q) * x
+    _Scalar.reject(denom == 0.0, lambda x: DomainError(f"q_neg pole: x = {x!r} = -1/(1-q)"), x)
     return -x / denom
 
 
-def q_prod(q: float, x: float, y: float) -> float:
+def q_prod(q: float, x: float, y: float, _m=_Scalar) -> float:
     g = _gamma(q)
-    return cutoff_pow(x**g + y**g - 1.0, 1.0 / g)
+    return _m.cutoff_pow(_m.pow(x, g) + _m.pow(y, g) - 1.0, 1.0 / g)
 
 
-def q_div(q: float, x: float, y: float) -> float:
+def q_div(q: float, x: float, y: float, _m=_Scalar) -> float:
     g = _gamma(q)
-    return cutoff_pow(x**g - y**g + 1.0, 1.0 / g)
+    return _m.cutoff_pow(_m.pow(x, g) - _m.pow(y, g) + 1.0, 1.0 / g)
 
 
 def q_recip(q: float, x: float) -> float:
     g = _gamma(q)
-    return cutoff_pow(2.0 - x**g, 1.0 / g)
+    return _Scalar.cutoff_pow(2.0 - x**g, 1.0 / g)
 
 
 def q_integer(q: float, n: int) -> float:
@@ -95,7 +91,7 @@ def q_integer(q: float, n: int) -> float:
 def q_pow(q: float, x: float, n: int) -> float:
     """[n x**(1-q) - (n-1)]_+ ** (1/(1-q))."""
     g = _gamma(q)
-    return cutoff_pow(n * x**g - (n - 1.0), 1.0 / g)
+    return _Scalar.cutoff_pow(n * x**g - (n - 1.0), 1.0 / g)
 
 
 # -- kappa-algebra -----------------------------------------------------------
@@ -110,7 +106,7 @@ def _check_kappa(kappa: float) -> float:
 def kappa_exp(kappa: float, x: float) -> float:
     """[kappa x + sqrt(kappa^2 x^2 + 1)]_+ ** (1/kappa)."""
     k = _check_kappa(kappa)
-    return cutoff_pow(k * x + math.sqrt((k * x) ** 2 + 1.0), 1.0 / k)
+    return _Scalar.cutoff_pow(k * x + math.sqrt((k * x) ** 2 + 1.0), 1.0 / k)
 
 
 def kappa_log(kappa: float, x: float) -> float:
@@ -123,12 +119,12 @@ def kappa_log(kappa: float, x: float) -> float:
 
 def kappa_sum(kappa: float, x: float, y: float, _m=_Scalar) -> float:
     k = _check_kappa(kappa)
-    return x * _m.sqrt(1.0 + _m.pow(k * y, 2)) + y * _m.sqrt(1.0 + _m.pow(k * x, 2))
+    return x * _m.hypot1(k * y) + y * _m.hypot1(k * x)
 
 
 def kappa_sub(kappa: float, x: float, y: float, _m=_Scalar) -> float:
     k = _check_kappa(kappa)
-    return x * _m.sqrt(1.0 + _m.pow(k * y, 2)) - y * _m.sqrt(1.0 + _m.pow(k * x, 2))
+    return x * _m.hypot1(k * y) - y * _m.hypot1(k * x)
 
 
 def kappa_neg(kappa: float, x: float) -> float:
@@ -137,20 +133,18 @@ def kappa_neg(kappa: float, x: float) -> float:
     return -x
 
 
-def kappa_prod(kappa: float, x: float, y: float) -> float:
+def kappa_prod(kappa: float, x: float, y: float, _m=_Scalar) -> float:
     k = _check_kappa(kappa)
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("kappa_prod needs positive operands")
-    half = (x**k + y**k - x**-k - y**-k) / 2.0
-    return math.exp(math.asinh(half) / k)
+    _m.reject((x <= 0.0) | (y <= 0.0), lambda: DomainError("kappa_prod needs positive operands"))
+    pow_ = _m.pow
+    return _m.exp(_m.asinh((pow_(x, k) + pow_(y, k) - pow_(x, -k) - pow_(y, -k)) / 2.0) / k)
 
 
-def kappa_div(kappa: float, x: float, y: float) -> float:
+def kappa_div(kappa: float, x: float, y: float, _m=_Scalar) -> float:
     k = _check_kappa(kappa)
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("kappa_div needs positive operands")
-    half = (x**k - y**k - x**-k + y**-k) / 2.0
-    return math.exp(math.asinh(half) / k)
+    _m.reject((x <= 0.0) | (y <= 0.0), lambda: DomainError("kappa_div needs positive operands"))
+    pow_ = _m.pow
+    return _m.exp(_m.asinh((pow_(x, k) - pow_(y, k) - pow_(x, -k) + pow_(y, -k)) / 2.0) / k)
 
 
 def kappa_recip(kappa: float, x: float) -> float:
@@ -172,58 +166,25 @@ def kappa_pow(kappa: float, x: float, n: int) -> float:
     if x <= 0.0:
         raise DomainError("kappa_pow needs a positive operand")
     s = n * math.sinh(k * math.log(x))
-    return cutoff_pow(s + math.sqrt(s * s + 1.0), 1.0 / k)
+    return _Scalar.cutoff_pow(s + math.sqrt(s * s + 1.0), 1.0 / k)
 
 
 # -- array twins -------------------------------------------------------------
 
 
-def q_sum_array(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return q_sum(q, x, y)
+def _with_clamps(f):
+    """The array twin of the product or quotient f, as ``(values, clamped)``."""
+
+    def twin(param: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _clamps.mask = np.zeros(x.shape, bool)  # the cutoff of f, if any, overwrites it
+        return _Array.run(f, param, x, y), _clamps.mask
+
+    return twin
 
 
-def q_sub_array(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    denom = 1.0 + _gamma(q) * y
-    pole = denom == 0.0
-    if pole.any():
-        q_sub(q, 0.0, y[pole.argmax()].item())  # raises the scalar's DomainError
-    return (x - y) / denom
-
-
-def q_prod_array(q: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = _gamma(q)
-    return cutoff_pow_array(_Array.pow(x, g) + _Array.pow(y, g) - 1.0, 1.0 / g)
-
-
-def q_div_array(q: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = _gamma(q)
-    return cutoff_pow_array(_Array.pow(x, g) - _Array.pow(y, g) + 1.0, 1.0 / g)
-
-
-def kappa_sum_array(kappa: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _Array.run(kappa_sum, kappa, x, y)
-
-
-def kappa_sub_array(kappa: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _Array.run(kappa_sub, kappa, x, y)
-
-
-def _kappa_exp_of_half(k: float, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(asinh(half)/k) at every element, and the (empty) clamp mask."""
-    return _Array.exp(_Array.asinh(half) / k), np.zeros(half.shape, bool)
-
-
-def kappa_prod_array(kappa: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = _check_kappa(kappa)
-    if ((x <= 0.0) | (y <= 0.0)).any():
-        raise DomainError("kappa_prod needs positive operands")
-    pow_ = _Array.pow
-    return _kappa_exp_of_half(k, (pow_(x, k) + pow_(y, k) - pow_(x, -k) - pow_(y, -k)) / 2.0)
-
-
-def kappa_div_array(kappa: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = _check_kappa(kappa)
-    if ((x <= 0.0) | (y <= 0.0)).any():
-        raise DomainError("kappa_div needs positive operands")
-    pow_ = _Array.pow
-    return _kappa_exp_of_half(k, (pow_(x, k) - pow_(y, k) - pow_(x, -k) + pow_(y, -k)) / 2.0)
+q_sum_array, q_sub_array, kappa_sum_array, kappa_sub_array = (
+    functools.partial(_Array.run, f) for f in (q_sum, q_sub, kappa_sum, kappa_sub)
+)
+q_prod_array, q_div_array, kappa_prod_array, kappa_div_array = (
+    _with_clamps(f) for f in (q_prod, q_div, kappa_prod, kappa_div)
+)

@@ -15,27 +15,28 @@ Built-in classes:
 * ``series(coeffs, order)``  -- truncated formal series t + sum a_k t^{k+1}/(k+1);
                                 inverse is a local Newton iteration.
 
-Each scalar method has an array form (``g_array``, ``g_inv_array``, ...,
-``deformation_factor_array``) for 1-d float arrays, whose every element
-equals the scalar method's result bit for bit.  A built-in class writes each
-formula once, in its scalar method, over a private trailing namespace
+Each scalar method, the domain checks, ``log_g`` and ``exp_g`` have an
+array form (``g_array``, ..., ``require_in_domain_array``, ``log_g_array``)
+for 1-d float arrays, whose every element equals the scalar result bit for
+bit.  Each formula is written once, over a private trailing namespace
 argument ``_m`` (see :mod:`groupcalc._libm`); its array form runs that same
-formula over ``_Array``, which calls libm once per element.  A subclass of
+formula over ``_Array``, which calls libm once per element and raises the
+scalar's error for the first element that has one.  A subclass of
 :class:`GroupClass` that defines only scalar methods gets array forms that
 loop over them.  The numerically inverted classes run their inversions as
 masked vector copies of the scalar iterations, in which every element takes
 the scalar's steps and stops on its own.  The abe inverse takes each bracket
 and bisection decision "G(t) < s" from numpy's vector ``exp`` where that G
 lies further from s than two faithful exps can part (``_EXP_MARGIN``), and
-from libm elsewhere; its Newton polish stays on libm, so each element is the
-scalar's bit for bit.  Arrays shorter than ``_VECTOR_INVERT_MIN`` take the
-scalar inverse per element.  An array with an element outside the domain
-raises the scalar's DomainError for the first such element, before any
-other error.
+from libm elsewhere; its Newton polish stays on libm.  Arrays shorter than
+``_VECTOR_INVERT_MIN`` take the scalar inverse per element.  An array with
+an element outside the domain raises the scalar's DomainError for the first
+such element, before any other error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +53,11 @@ def _raise_first(failures: dict) -> None:
     """Raise the ConvergenceError a node-by-node loop would have met first."""
     if failures:
         raise ConvergenceError(failures[min(failures)])
+
+
+def _over_array(name):
+    """The array form of method ``name``: its formula run over _Array."""
+    return lambda self, *args: _Array.run(getattr(self, name), *args)
 
 
 class GroupClass:
@@ -95,25 +101,16 @@ class GroupClass:
 
     def contains(self, s: float) -> bool:
         lo, hi = self.domain
-        return lo < s < hi
-
-    def contains_array(self, s: np.ndarray) -> np.ndarray:
-        """:meth:`contains` at every element of s."""
-        lo, hi = self.domain
         return (lo < s) & (s < hi)
 
-    def require_in_domain(self, s: float, what: str = "argument") -> None:
-        if not self.contains(s):
-            raise DomainError(
-                f"{what} {s!r} outside domain {self.domain} of class {self.spec_string()}"
-            )
+    contains_array = contains  # the formula holds elementwise as written
 
-    def require_in_domain_array(self, s: np.ndarray, what: str = "argument") -> None:
-        """:meth:`require_in_domain` for every element; the error names the
-        first element outside the domain."""
-        outside = ~self.contains_array(s)
-        if outside.any():
-            self.require_in_domain(s[outside.argmax()].item(), what)
+    def require_in_domain(self, s: float, what: str = "argument", _m=_Scalar) -> None:
+        _m.reject(_m.not_(self.contains(s)), lambda s: DomainError(
+            f"{what} {s!r} outside domain {self.domain} of class {self.spec_string()}"
+        ), s)
+
+    require_in_domain_array = _over_array("require_in_domain")
 
     def deformation_factor(self, x: float) -> float:
         """A(x) = G'(G^{-1}(x)), the local stretching of the deformed coordinate."""
@@ -172,11 +169,6 @@ class GroupClass:
 def _derivs(g1, g2, g3, _m=_Scalar):
     """(A, A', A'') from G', G'' and G''' at u = G^{-1}(x)."""
     return g1, g2 / g1, (g3 * g1 - g2 * g2) / _m.pow(g1, 3)
-
-
-def _over_array(name):
-    """The array form of scalar method ``name``: its formula run over _Array."""
-    return lambda self, x: _Array.run(getattr(self, name), x)
 
 
 class _OneFormula(GroupClass):
@@ -351,7 +343,7 @@ class AbeClass(_OneFormula):
         return _bracketed_invert(self.g, self.g_prime, s, self.tol)
 
     def g_inv_array(self, s):
-        self.require_in_domain_array(s)
+        _Array.require_in_domain(self, s)
         if s.size < _VECTOR_INVERT_MIN:
             return _Array.each(lambda si: _bracketed_invert(self.g, self.g_prime, si, self.tol), s)
         return _Array.run(
@@ -474,7 +466,7 @@ class SeriesClass(_OneFormula):
 
     def g_inv_array(self, s):
         """Masked copy of :meth:`g_inv`: each element leaves on its own."""
-        self.require_in_domain_array(s)
+        _Array.require_in_domain(self, s)
         floor = self.tol.series_gprime_min
         t = np.array(s, dtype=float)
         active = np.arange(s.size)
@@ -680,44 +672,27 @@ def _bracketed_invert_array(
 # ---------------------------------------------------------------------------
 
 
-def log_g(cls: GroupClass, x: float) -> float:
+def log_g(cls: GroupClass, x: float, _m=_Scalar) -> float:
     """Deformed logarithm G(log x), defined for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"log_g needs x > 0, got {x!r}")
-    return cls.g(math.log(x))
+    _m.reject(x <= 0.0, lambda x: DomainError(f"log_g needs x > 0, got {x!r}"), x)
+    return _m.form(cls, "g")(_m.log(x))
 
 
-def exp_g(cls: GroupClass, x: float) -> float:
+def exp_g(cls: GroupClass, x: float, _m=_Scalar) -> float:
     """Deformed exponential exp(G^{-1}(x)).
 
     At a finite lower domain edge where G^{-1} diverges to -inf (Tsallis with
     q < 1, Abe with b = 0) the limiting value 0.0 is returned, matching the
     cutoff convention of the closed-form q-exponential.
     """
-    lo, hi = cls.domain
-    if x == lo and math.isfinite(lo) and cls.t_range[0] == -_INF:
-        return 0.0
-    cls.require_in_domain(x)
-    return math.exp(cls.g_inv(x))
-
-
-def log_g_array(cls: GroupClass, x: np.ndarray) -> np.ndarray:
-    """:func:`log_g` at every element of x; the error names the first x <= 0."""
-    bad = x <= 0.0
-    if bad.any():
-        log_g(cls, x[bad.argmax()].item())
-    return cls.g_array(_Array.log(x))
-
-
-def exp_g_array(cls: GroupClass, x: np.ndarray) -> np.ndarray:
-    """:func:`exp_g` at every element of x, the limiting edge value included."""
     lo = cls.domain[0]
-    edge = x == lo if math.isfinite(lo) and cls.t_range[0] == -_INF else np.zeros(x.shape, bool)
-    out = np.zeros(x.shape)
-    inner = x[~edge]
-    cls.require_in_domain_array(inner)
-    out[~edge] = _Array.exp(cls.g_inv_array(inner))
-    return out
+    edge = (x == lo) & (math.isfinite(lo) and cls.t_range[0] == -_INF)
+    inside = _m.where(edge, 0.0, x)  # G^-1(0) = 0 stands in at the edge
+    _m.require_in_domain(cls, inside)
+    return _m.where(edge, 0.0, _m.exp(_m.form(cls, "g_inv")(inside)))
+
+
+log_g_array, exp_g_array = (functools.partial(_Array.run, f) for f in (log_g, exp_g))
 
 
 def cos_g(cls: GroupClass, x: float) -> float:

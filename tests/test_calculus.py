@@ -31,6 +31,7 @@ from groupcalc import (
 from groupcalc import calculus
 from groupcalc.calculus import _gauss_legendre_16
 from groupcalc.checks import _sample_range, run_checks
+from groupcalc.groups import GroupClass
 
 LN2 = 0.6931471805599453
 ASINH1 = 0.8813735870195430
@@ -416,3 +417,39 @@ def test_results_are_python_float_and_bool(backend):
         results = run_checks(cls, tol)
         assert {(type(r.passed), type(r.residual)) for r in results} == {(bool, float)}
         json.dumps([dataclasses.asdict(r) for r in results])
+
+
+class _Bent(GroupClass):
+    """Identity generator with G'(t) = 1 - t, which falls below 0 past t = 1."""
+
+    kind = "bent"
+
+    def g(self, t):
+        return t
+
+    def g_inv(self, s):
+        return s
+
+    def g_prime(self, t):
+        return 1.0 - t
+
+    def spec_string(self):
+        return "bent"
+
+
+@pytest.mark.parametrize("backend, cls, f, a, b, text", [
+    ("simpson", tsallis(0.5), Func1D(lambda x: x * x, 0.0, 0.5), 0.0, 1.0,
+     "x = 0.0 outside function domain (0.0, 0.5)"),
+    ("gauss16", tsallis(0.5), Func1D(lambda x: x * x, 0.0, 0.5), 0.0, 1.0,
+     "x = 0.5475062549188188 outside function domain (0.0, 0.5)"),
+    ("simpson", _Bent(), lambda x: x * x, 1.25, 2.0,
+     "G' must stay positive, got -0.25 at x = 1.25"),
+    ("gauss16", _Bent(), lambda x: x * x, 1.25, 2.0,
+     "G' must stay positive, got -0.2539746493781312 at x = 1.2539746493781312"),
+], ids=["interior-simpson", "interior-gauss16", "rising-simpson", "rising-gauss16"])
+def test_batch_integrand_raises_the_first_nodes_error(backend, cls, f, a, b, text):
+    # The batch integrands of the fundamental theorem check a whole batch of
+    # nodes at once and name the first node whose scalar check fails.
+    with pytest.raises(DomainError) as exc:
+        fundamental_theorem_residual(cls, f, a, b, Tolerances(quad_backend=backend))
+    assert str(exc.value) == text
