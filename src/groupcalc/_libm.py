@@ -20,9 +20,10 @@ holds; an array raises it for its first such element, at that element of
 each array in ``at``.  ``cutoff_pow`` is ``[base]_+ ** exponent``: a
 negative base gives 0 and sets the per-thread clamp flag ``_clamps.seen``,
 and an array leaves its clamped elements in ``_clamps.mask``.  ``hypot1(v)``
-is sqrt(1 + pow(v, 2)), or hypot(1, v) where the pow overflows.  ``not_``
-and ``where`` take a bool or a bool array, and ``form`` gives a group
-class's method in the namespace's form (``g`` or ``g_array``).
+is sqrt(1 + pow(v, 2)), or hypot(1, v) where the pow overflows.  ``not_``,
+``any`` and ``where`` take a bool or a bool array, ``maximum`` is the
+larger of two values at each element, and ``form`` gives a group class's
+method in the namespace's form (``g`` or ``g_array``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class _Scalar:
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
     sin, cos, sinh, cosh, asinh = math.sin, math.cos, math.sinh, math.cosh, math.asinh
     sqrt, pow, not_, form = math.sqrt, operator.pow, operator.not_, getattr
+    any, maximum = operator.truth, max
 
     def full(t, c):
         return c
@@ -90,6 +92,7 @@ class _Array:
         for name in ("exp", "expm1", "log", "log1p", "sin", "cos", "sinh", "cosh", "asinh")
     )
     sqrt, pow, not_, where, each = np.sqrt, _pow, np.logical_not, np.where, _map
+    any, maximum = np.ndarray.any, np.maximum
 
     def full(t, c):
         return np.full(t.shape, c)

@@ -106,7 +106,7 @@ def _check_kappa(kappa: float) -> float:
 def kappa_exp(kappa: float, x: float) -> float:
     """[kappa x + sqrt(kappa^2 x^2 + 1)]_+ ** (1/kappa)."""
     k = _check_kappa(kappa)
-    return _Scalar.cutoff_pow(k * x + math.sqrt((k * x) ** 2 + 1.0), 1.0 / k)
+    return _Scalar.cutoff_pow(k * x + _Scalar.hypot1(k * x), 1.0 / k)
 
 
 def kappa_log(kappa: float, x: float) -> float:
@@ -166,7 +166,8 @@ def kappa_pow(kappa: float, x: float, n: int) -> float:
     if x <= 0.0:
         raise DomainError("kappa_pow needs a positive operand")
     s = n * math.sinh(k * math.log(x))
-    return _Scalar.cutoff_pow(s + math.sqrt(s * s + 1.0), 1.0 / k)
+    root = math.sqrt(s * s + 1.0) if s * s < math.inf else math.hypot(1.0, s)
+    return _Scalar.cutoff_pow(s + root, 1.0 / k)
 
 
 # -- array twins -------------------------------------------------------------

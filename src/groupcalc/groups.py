@@ -11,7 +11,8 @@ Built-in classes:
 * ``BG``                     -- identity generator, plain arithmetic.
 * ``tsallis(q)``             -- G(t) = (e^{(1-q)t} - 1)/(1-q); q = 1 degenerates to BG.
 * ``kaniadakis(kappa)``      -- G(t) = sinh(kappa t)/kappa; kappa = 0 degenerates to BG.
-* ``abe(a, b)``              -- G(t) = (e^{at} - e^{bt})/(a - b); inverse is numeric.
+* ``abe(a, b)``              -- G(t) = (e^{at} - e^{bt})/(a - b); inverse is a Newton
+                                iteration from a lower bound.
 * ``series(coeffs, order)``  -- truncated formal series t + sum a_k t^{k+1}/(k+1);
                                 inverse is a local Newton iteration.
 
@@ -23,15 +24,12 @@ argument ``_m`` (see :mod:`groupcalc._libm`); its array form runs that same
 formula over ``_Array``, which calls libm once per element and raises the
 scalar's error for the first element that has one.  A subclass of
 :class:`GroupClass` that defines only scalar methods gets array forms that
-loop over them.  The numerically inverted classes run their inversions as
-masked vector copies of the scalar iterations, in which every element takes
-the scalar's steps and stops on its own.  The abe inverse takes each bracket
-and bisection decision "G(t) < s" from numpy's vector ``exp`` where that G
-lies further from s than two faithful exps can part (``_EXP_MARGIN``), and
-from libm elsewhere; its Newton polish stays on libm.  Arrays shorter than
-``_VECTOR_INVERT_MIN`` take the scalar inverse per element.  An array with
-an element outside the domain raises the scalar's DomainError for the first
-such element, before any other error.
+loop over them.  The numeric inverses of ``abe`` and ``series`` are Newton
+iterations written the same way: every element takes the scalar's steps, an
+element that has converged or failed is frozen, and an element that failed
+raises the scalar's error after the loop.  An array with an element outside
+the domain raises the scalar's DomainError for the first such element,
+before any other error.
 """
 
 from __future__ import annotations
@@ -47,12 +45,6 @@ from .config import DEFAULT_TOLERANCES, Spec, Tolerances
 from .errors import ConvergenceError, DomainError
 
 _INF = math.inf
-
-
-def _raise_first(failures: dict) -> None:
-    """Raise the ConvergenceError a node-by-node loop would have met first."""
-    if failures:
-        raise ConvergenceError(failures[min(failures)])
 
 
 def _over_array(name):
@@ -180,12 +172,11 @@ class _OneFormula(GroupClass):
     g_prime_array = _over_array("g_prime")
     g_second_array = _over_array("g_second")
     g_third_array = _over_array("g_third")
+    g_inv_array = _over_array("g_inv")
 
 
 class _ClosedInverse(_OneFormula):
-    """A built-in class whose G^{-1} and A are formulas over ``_m`` too."""
-
-    g_inv_array = _over_array("g_inv")
+    """A built-in class whose A is a formula over ``_m`` too."""
 
     def deformation_factor_array(self, x, u=None):
         return _Array.run(self.deformation_factor, x)
@@ -292,10 +283,12 @@ class KaniadakisClass(_ClosedInverse):
 
 @dataclass(frozen=True, repr=False)
 class AbeClass(_OneFormula):
-    """G(t) = (exp(at) - exp(bt))/(a - b); inverse by bisection plus Newton polish.
+    """G(t) = (exp(at) - exp(bt))/(a - b); inverse by Newton steps on log G.
 
     Monotonicity of G requires a >= 0 >= b (after canonical ordering a > b);
-    other parameterizations are rejected at construction.
+    other parameterizations, and a, b or a - b that are not finite, are
+    rejected at construction.  With b = 0 or a = 0 the class is Tsallis and
+    G^{-1} is its closed form.
     """
 
     a: float
@@ -304,6 +297,8 @@ class AbeClass(_OneFormula):
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, compare=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.a - self.b):
+            raise ValueError("Abe class needs finite a, b and a - b")
         if self.a == self.b:
             raise ValueError("Abe class needs a != b")
         if self.a < self.b:  # G is symmetric under swapping a and b
@@ -338,36 +333,36 @@ class AbeClass(_OneFormula):
         a, b = self.a, self.b
         return (a**3 * _m.exp(a * t) - b**3 * _m.exp(b * t)) / (a - b)
 
-    def g_inv(self, s):
-        self.require_in_domain(s)
-        return _bracketed_invert(self.g, self.g_prime, s, self.tol)
-
-    def g_inv_array(self, s):
-        _Array.require_in_domain(self, s)
-        if s.size < _VECTOR_INVERT_MIN:
-            return _Array.each(lambda si: _bracketed_invert(self.g, self.g_prime, si, self.tol), s)
-        return _Array.run(
-            _bracketed_invert_array, self.g, self.g_prime, self._g_against, s, self.tol
-        )
-
-    def _g_against(self, t, s):
-        """An array on the side of s where G(t) lies at every element, G(t) as
-        the scalar bracket takes it (libm's exp, an overflow as +-inf).
-
-        It is G(t) by numpy's exp where that lies more than ``_EXP_MARGIN``
-        of the exponentials' size away from s: further than two faithful
-        exps can part it from libm's G.  Elsewhere, and where a value is not
-        finite or an exp nears overflow, it is libm's G.
-        """
-        a, b = self.a, self.b
-        ea, eb = np.exp(a * t), np.exp(b * t)
-        size = ea + eb
-        g = (ea - eb) / (a - b)
-        sure = (np.abs(g - s) > _EXP_MARGIN / abs(a - b) * size) & (size < _EXP_CEIL)
-        if not sure.all():
-            unsure = ~sure
-            g[unsure] = _g_or_inf(self.g, t[unsure], _Array)
-        return g
+    def g_inv(self, s, _m=_Scalar):
+        _m.require_in_domain(self, s)
+        a, b, tol = self.a, self.b, self.tol
+        if a == 0.0 or b == 0.0:  # tsallis with gamma = a + b: G^-1 is closed
+            return _m.log1p((a + b) * s) / (a + b) + 0.0  # s = -0 gives +0
+        # G_{a,b}(t) = -G_{-b,-a}(-t): solve G(t) = y = |s| on t > 0, where
+        # G(t) = e^{ct} v(t), c the rate of the larger exp, v = (1 - e^{-dt})/d.
+        # r(t) = log(y/v) - ct is convex and decreasing, so Newton steps from
+        # a lower bound of the root climb to it.  s = 0 solves y = 1, then gives 0.
+        d, y, c = a - b, abs(s) + (s == 0.0), _m.where(s < 0.0, -b, a)
+        dy, log_dy = d * y, _m.log(y) + math.log(d)
+        # there y/v ~ dy nears overflow: take log((y/k)/v) + log(k), k = max(d, 1)
+        big, k = dy > 1e300, max(d, 1.0)
+        y_k, log_k = _m.where(big, y / k, y), _m.where(big, math.log(k), 0.0)
+        # G <= expm1(ct)/c and G <= e^{ct}/d bound the root from below
+        t = _m.maximum(_m.where(big, log_dy, _m.log1p(c * y)) / c, log_dy / c)
+        # near 0, G^-1(y) = y - (c - d/2) y^2 + O(y^3) is closer; an absolute stop
+        # rule would end Newton there before its relative error falls to an ulp
+        t = _m.where(dy < 1e-3, y - (c - 0.5 * d) * y * y, t)
+        live = _m.full(s, True)
+        for _ in range(tol.inverse_max_iter):
+            e = _m.expm1(-d * t)  # -d v; below 1e-20, t is v to the last bit
+            v = _m.where(e > -1e-20, t, e / -d)  # and keeps it where dt is subnormal
+            delta = (_m.log(y_k / v) + log_k - c * t) / (c + (1.0 + e) / v)
+            t = _m.where(live, t + delta, t)
+            live = live & _m.not_(abs(delta) <= tol.inverse_abs * (1.0 + t))  # t > 0
+            if not _m.any(live):
+                break
+        _m.reject(live, lambda s: ConvergenceError(f"abe inverse did not converge for s={s!r}"), s)
+        return _m.where(s < 0.0, -t, t) * (s != 0.0)
 
     def spec_string(self):
         return f"abe:a={_fmt_param(self.a)},b={_fmt_param(self.b)}"
@@ -448,45 +443,27 @@ class SeriesClass(_OneFormula):
             acc = acc + k * (k - 1) * self.coeffs[k - 1] * _m.pow(t, k - 2)
         return acc
 
-    def g_inv(self, s):
-        self.require_in_domain(s)
-        floor = self.tol.series_gprime_min
+    def g_inv(self, s, _m=_Scalar):
+        _m.require_in_domain(self, s)
+        floor, tol = self.tol.series_gprime_min, self.tol
         t = s  # G is the identity to first order, so s is a good seed
-        for _ in range(self.tol.inverse_max_iter):
-            slope = self.g_prime(t)
-            if slope <= floor:
-                raise ConvergenceError(
-                    f"series inverse left the monotone region near t={t!r}"
-                )
-            delta = (self.g(t) - s) / slope
-            t -= delta
-            if abs(delta) <= self.tol.inverse_abs * (1.0 + abs(t)):
-                return t
-        raise ConvergenceError(f"series inverse did not converge for s={s!r}")
-
-    def g_inv_array(self, s):
-        """Masked copy of :meth:`g_inv`: each element leaves on its own."""
-        _Array.require_in_domain(self, s)
-        floor = self.tol.series_gprime_min
-        t = np.array(s, dtype=float)
-        active = np.arange(s.size)
-        failures = {}
-        for _ in range(self.tol.inverse_max_iter):
-            if not active.size:
+        live, flat = _m.full(s, True), _m.full(s, False)
+        for _ in range(tol.inverse_max_iter):
+            u = _m.where(live, t, 0.0)  # G and G' at 0 stand in where t is frozen
+            slope = self.g_prime(u, _m)
+            low = live & (slope <= floor)
+            live, flat = live & _m.not_(low), flat | low
+            if not _m.any(live):
                 break
-            ta = t[active]
-            slope = self.g_prime_array(ta)
-            low = slope <= floor
-            for i, ti in zip(active[low].tolist(), ta[low].tolist()):
-                failures[i] = f"series inverse left the monotone region near t={ti!r}"
-            active, ta, slope = active[~low], ta[~low], slope[~low]
-            delta = (self.g_array(ta) - s[active]) / slope
-            ta = ta - delta
-            t[active] = ta
-            active = active[~(np.abs(delta) <= self.tol.inverse_abs * (1.0 + np.abs(ta)))]
-        for i, si in zip(active.tolist(), s[active].tolist()):
-            failures[i] = f"series inverse did not converge for s={si!r}"
-        _raise_first(failures)
+            delta = (self.g(_m.where(live, u, 0.0), _m) - s) / slope
+            t = _m.where(live, u - delta, t)
+            live = live & _m.not_(abs(delta) <= tol.inverse_abs * (1.0 + abs(t)))
+            if not _m.any(live):
+                break
+        _m.reject(live | flat, lambda flat, t, s: ConvergenceError(
+            f"series inverse left the monotone region near t={t!r}" if flat
+            else f"series inverse did not converge for s={s!r}"
+        ), flat, t, s)
         return t
 
     def spec_string(self):
@@ -518,153 +495,6 @@ def series(coeffs, truncation_order: int | None = None) -> GroupClass:
     if truncation_order is None:
         truncation_order = len(coeffs)
     return SeriesClass(coeffs, truncation_order)
-
-
-def _bracketed_invert(g, g_prime, s: float, tol: Tolerances) -> float:
-    """Solve g(t) = s: grow a bracket geometrically from [-1, 1], bisect,
-    then polish with safeguarded Newton steps.
-
-    While the bracket grows and shrinks, a g(t) that overflows counts as
-    +-inf with the sign of t, the limit of an increasing g with g(0) = 0;
-    the root itself may be far from overflow.
-    """
-    if s == 0.0:  # G(0) = 0 for every class; keep the fixed point exact
-        return 0.0
-    lo, hi = -1.0, 1.0
-    grew = 0
-    try:
-        while g(lo) > s:
-            lo *= 2.0
-            grew += 1
-            if grew > 60:
-                raise ConvergenceError(f"failed to bracket inverse for s={s!r}")
-    except OverflowError:  # g(lo) = -inf lies below s
-        pass
-    grew = 0
-    try:
-        while g(hi) < s:
-            hi *= 2.0
-            grew += 1
-            if grew > 60:
-                raise ConvergenceError(f"failed to bracket inverse for s={s!r}")
-    except OverflowError:  # g(hi) = +inf lies above s
-        pass
-
-    for _ in range(80):  # bisection down to a short interval
-        mid = 0.5 * (lo + hi)
-        try:
-            below = g(mid) < s
-        except OverflowError:
-            below = mid < 0.0
-        if below:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6 * (1.0 + abs(mid)):
-            break
-
-    t = 0.5 * (lo + hi)
-    for _ in range(tol.inverse_max_iter):
-        delta = (g(t) - s) / g_prime(t)
-        t -= delta
-        if not lo - 1.0 <= t <= hi + 1.0:  # safeguard: fall back to bracket
-            t = 0.5 * (lo + hi)
-        if abs(delta) <= tol.inverse_abs * (1.0 + abs(t)):
-            return t
-    raise ConvergenceError(f"Newton polish did not converge for s={s!r}")
-
-
-# Below this many elements the abe array inverse calls the scalar one per
-# element.  Its ~25 vector steps cost ~0.5 ms whatever the length, the
-# scalar inverse 10-15 us per element, and they break even at 50-80 elements.
-_VECTOR_INVERT_MIN = 64
-# The relative gap, in units of (e^{at} + e^{bt})/|a - b|, beyond which G(t)
-# from numpy's exp decides a bracket or bisection step.  Two exps that are
-# faithful (error < 1 ulp) put G within ~1e-15 of that unit of each other, so
-# the margin is ~1e6 times wider than any gap they can open.  libm still takes
-# a decision for about 1 element in 1000, whose bisection passes that close
-# to its root.
-_EXP_MARGIN = 1e-9
-# Where numpy's e^{at} + e^{bt} stays below this, far under DBL_MAX = 1.8e308,
-# no libm exp overflows; where a libm exp overflows, numpy's sum passes it.
-_EXP_CEIL = 1e307
-
-
-def _g_or_inf(g, t: np.ndarray, _m) -> np.ndarray:
-    """g(t), where an element whose g overflows takes +-inf with its sign:
-    the rule of the scalar bracket, which guards each g call with ``try``."""
-    try:
-        return g(t, _m)
-    except OverflowError:
-        pass
-    out = np.empty(t.shape)
-    for i, ti in enumerate(t.tolist()):
-        try:
-            out[i] = g(t[i : i + 1], _m)[0]
-        except OverflowError:
-            out[i] = math.copysign(_INF, ti)
-    return out
-
-
-def _bracketed_invert_array(
-    g, g_prime, g_against, s: np.ndarray, tol: Tolerances, _m
-) -> np.ndarray:
-    """Masked vector copy of :func:`_bracketed_invert` over the elements of s,
-    with g and g_prime taken over the namespace ``_m``.
-
-    Every element takes the scalar's bracket growth, bisection and Newton
-    steps and leaves each stage on its own stop rule, so element i is the
-    scalar result for s[i] bit for bit.  ``g_against(t, s)`` takes the
-    bracket and bisection decisions: at every element it is on the same side
-    of s as the scalar's g(t), an overflow counting as +-inf.
-    """
-    t = np.zeros(s.shape)  # G(0) = 0 keeps the fixed point s = 0 exact
-    lo, hi = np.full(s.shape, -1.0), np.full(s.shape, 1.0)
-    live = np.flatnonzero(s != 0.0)
-    failures = {}
-    for edge, outside in ((lo, np.greater), (hi, np.less)):
-        active = live
-        for _ in range(61):  # the scalar gives up after 60 doublings
-            active = active[outside(g_against(edge[active], s[active]), s[active])]
-            edge[active] *= 2.0
-            if not active.size:
-                break
-        else:
-            for i, si in zip(active.tolist(), s[active].tolist()):
-                failures[i] = f"failed to bracket inverse for s={si!r}"
-            live = np.setdiff1d(live, active)
-
-    active = live
-    l, h, sa = lo[active], hi[active], s[active]
-    for _ in range(80):
-        if not active.size:
-            break
-        mid = 0.5 * (l + h)
-        below = g_against(mid, sa) < sa
-        l, h = np.where(below, mid, l), np.where(below, h, mid)
-        short = h - l < 1e-6 * (1.0 + np.abs(mid))
-        if short.any():  # these leave: store their bracket
-            lo[active[short]], hi[active[short]] = l[short], h[short]
-            going = ~short
-            active, l, h, sa = active[going], l[going], h[going], sa[going]
-    lo[active], hi[active] = l, h
-
-    t[live] = 0.5 * (lo[live] + hi[live])
-    active = live
-    for _ in range(tol.inverse_max_iter):
-        if not active.size:
-            break
-        ta = t[active]
-        delta = (g(ta, _m) - s[active]) / g_prime(ta, _m)
-        ta = ta - delta
-        l, h = lo[active], hi[active]
-        ta = np.where((l - 1.0 <= ta) & (ta <= h + 1.0), ta, 0.5 * (l + h))
-        t[active] = ta
-        active = active[~(np.abs(delta) <= tol.inverse_abs * (1.0 + np.abs(ta)))]
-    for i, si in zip(active.tolist(), s[active].tolist()):
-        failures[i] = f"Newton polish did not converge for s={si!r}"
-    _raise_first(failures)
-    return t
 
 
 # ---------------------------------------------------------------------------

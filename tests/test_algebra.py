@@ -17,6 +17,7 @@ from groupcalc import (
     deform,
     dual_deform,
     dual_g_sum,
+    exp_g,
     g_div,
     g_integer,
     g_neg,
@@ -180,6 +181,17 @@ def test_kappa_oracle_values():
     assert cf.kappa_recip(2.0, 2.5) == 0.4
     assert cf.kappa_pow(1.0, math.e, 2) == pytest.approx(4.9046912084993434, rel=1e-14)
     assert cf.kappa_neg(1.0, 1.3) == -1.3
+
+
+def test_kappa_oracles_past_the_square_overflow():
+    # (k x)^2 and s^2 pass the float range while the values stay far inside it
+    cls = kaniadakis(2.0)
+    assert cf.kappa_exp(2.0, 1e154) == pytest.approx(exp_g(cls, 1e154), rel=1e-14)
+    assert cf.kappa_exp(2.0, -1e154) == pytest.approx(exp_g(cls, -1e154), rel=1e-14)
+    assert cf.kappa_pow(2.0, 1e100, 3) == pytest.approx(g_pow(cls, 1e100, 3), rel=1e-14)
+    assert cf.kappa_pow(2.0, 1e-100, 3) == pytest.approx(g_pow(cls, 1e-100, 3), rel=1e-14)
+    # below the overflow the bits are those of sqrt(v*v + 1)
+    assert cf.kappa_exp(1.0, 3.0) == (3.0 + math.sqrt(10.0)) ** 1.0
 
 
 def test_kappa_neg_is_group_inverse():

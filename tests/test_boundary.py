@@ -142,14 +142,18 @@ def test_short_potential_file_is_a_typed_error(tmp_path, rows):
 
 
 def test_repl_reports_a_failing_line_and_goes_on():
-    stdin = "(" * 3000 + "1" + ")" * 3000 + "\nexpG(-0.9999999999999999)\n1 (+) 2\nclass bg:q=1\n2\n"
+    # G' = 1 + t - t^2 of series:a1=1,a2=-1 is 0.40 at t = 1.42, where the
+    # Newton iteration of expG(1.42) starts, inside the domain (..., 1.424)
+    stdin = ("(" * 3000 + "1" + ")" * 3000 + "\n1 (+) 2\nclass series:a1=1,a2=-1\n"
+             "expG(1.42)\nclass bg:q=1\n2\n")
     code, out, err = run_cli(["repl", "--class", "abe:a=1,b=0"], stdin)
     assert code == 0
-    assert out.splitlines() == ["5", "2"]  # abe(1, 0) is tsallis q=0: 1 + 2 + 1*2
+    # abe(1, 0) is tsallis q=0: 1 + 2 + 1*2
+    assert out.splitlines() == ["5", "class series:a1=1,a2=-1", "2"]
     lines = err.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith(f"parse error at offset {MAX_DEPTH}: ")
-    assert lines[1] == "convergence failure: Newton polish did not converge for s=-0.9999999999999999"
+    assert lines[1] == "convergence failure: series inverse left the monotone region near t=1.42"
     assert lines[2] == "error: spec 'bg:q=1' has unknown parameters ['q']"
 
 

@@ -238,26 +238,26 @@ def test_nan_residuals_are_skipped_as_max_skips_them():
 
 CHECK_STDOUT = {
     "abe:a=0.8,b=0": (
-        "PASS generator-roundtrip residual=1.94142355318e-15\n"
+        "PASS generator-roundtrip residual=1.50072772749e-15\n"
         "PASS pythagorean residual=2.22044604925e-16\n"
         "PASS derivatives-vs-differences residual=3.69905826471e-11\n"
-        "PASS group-axioms residual=1.18420846617e-15\n"
-        "PASS additive-homomorphism residual=8.4057497757e-16\n"
+        "PASS group-axioms residual=1.89574152008e-15\n"
+        "PASS additive-homomorphism residual=1.38777878078e-15\n"
         "PASS oracle-equivalence residual=0  (no closed-form oracle for this class)\n"
         "PASS non-distributivity-witness residual=3.2\n"
-        "PASS exp-derivative-identity residual=5.7756022187e-11\n"
+        "PASS exp-derivative-identity residual=3.87694321091e-11\n"
         "PASS fundamental-theorem residual=2.32899921571e-10\n"
         "PASS quadrature-paths residual=7.66053886991e-15\n"
     ),
     "abe:a=1,b=-1": (
-        "PASS generator-roundtrip residual=1.05962809412e-16\n"
+        "PASS generator-roundtrip residual=1.38944527144e-16\n"
         "PASS pythagorean residual=2.22044604925e-16\n"
         "PASS derivatives-vs-differences residual=3.03090000801e-11\n"
-        "PASS group-axioms residual=9.85695750415e-16\n"
-        "PASS additive-homomorphism residual=2.31995644885e-16\n"
+        "PASS group-axioms residual=9.56147486253e-16\n"
+        "PASS additive-homomorphism residual=1.66533453694e-16\n"
         "PASS oracle-equivalence residual=0  (no closed-form oracle for this class)\n"
         "PASS non-distributivity-witness residual=7.06149295674\n"
-        "PASS exp-derivative-identity residual=4.49560388915e-11\n"
+        "PASS exp-derivative-identity residual=4.92308416256e-11\n"
         "PASS fundamental-theorem residual=2.32899921571e-10\n"
         "PASS quadrature-paths residual=3.52884388377e-13\n"
     ),

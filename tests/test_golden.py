@@ -80,15 +80,15 @@ DIGESTS = {
     },
     "harmonic-abe:a=1,b=-1-x": {
         "spectrum_energies.csv":
-            "a135d18fb23b254849b7d9fa2d22bf05229eafde79ea0350843c5a7ccf1bdf51",
+            "0e03c20fa2f4dab91fd95d3ab5957bef5888e1f5990c388574e64b29236b5c08",
         "spectrum_meta.txt":
-            "b3d35ae35b7854f955ea91e54bfc301354e88498b9a495367c492c188f13b040",
+            "dcfcbf19e0c0b1a43b0325c53730cf07ac2514eaf2cb48a26dc3911ecfe9cf16",
         "spectrum_state_1.csv":
             "c797c8dc600068dd8a774e61362862d8da55058ab9b4397494ade928309947db",
         "spectrum_state_2.csv":
-            "74a5d39904130cce3a33657a298f373c5888a8613829b821d15a3dbd1eba15da",
+            "5b8436e2cd0e3ba6e5b6866e6341f6ac8944c6146ad3b6c5a7f707ad6d47ec20",
         "spectrum_state_3.csv":
-            "45340b993561746c20dd9850c870240997be6c23396436902408eb5d50b7ac11",
+            "13816670a43d881e65db5fb41cae01c3c22a3c1d3a179bb0e55a7ca81d733b2a",
     },
     "harmonic-bg-g": {
         "spectrum_energies.csv":
@@ -140,25 +140,25 @@ DIGESTS = {
     },
     "well-abe:a=1,b=-1": {
         "spectrum_g_energies.csv":
-            "da8b515292661137db4db8ecb6aae11845345469f2a47a05729f4339a88e8e8a",
+            "0253581e12803d915a942237f66467ec7bf728226280c1030400c430d79633e2",
         "spectrum_g_meta.txt":
-            "6f682a648dd666657181899b266b38577d93bbc3ff526f37c7280e051698a096",
+            "e8ed2cabf0fb1b5b97a28673de557426814c57fdc64dd3b3f2f9ee2268d54bfd",
         "spectrum_g_state_1.csv":
             "d02c565704c8955dd1fda176a52f59fabbd9e2082997a8a8f7cb1db3f1a64db0",
         "spectrum_g_state_2.csv":
-            "c21629a6da8ad30dad0d128298fd9bd1f5e192681c4085bd26235a48e9c22152",
+            "709e37e400937f98b282c00b1799e94eaa3f73bf2bb598d1685a57eed1bbaf28",
         "spectrum_g_state_3.csv":
             "c3aa0aa0f73bbd0cd77dc1ef84a722ee2347d7d3e61ad07ffab610663076cc03",
         "spectrum_x_energies.csv":
-            "21c46732d2d3bd97a3fb6355e1ffbf87b7355239e04bce031c961c13b92b0eb2",
+            "79f79c2b0d4d1fc9a4ce7b5a90d952bdedfdabec82d2e0bdc90e45a41db658bb",
         "spectrum_x_meta.txt":
-            "5c02c5b1b0babb318471050c2a18abe2eff391e145d7d1c5847b067f6cb36837",
+            "f236d97d6ca54b9e04267d80e38887d27e959ddce99b8d249a9ae27e0dabcb4d",
         "spectrum_x_state_1.csv":
-            "a20c78e53d1f96ab9ac186ecf3889a3e8861e610e78cd2757be6d67778f8d52d",
+            "12c6aaf10c5d9d39f846d32c62e6a5e9b6980ceee25f5c9b60918c48dc1a3248",
         "spectrum_x_state_2.csv":
-            "32393f0291238d2368ef0af62fa340df745d513deba8e26baa9d7484925015bc",
+            "9cf53298402949b132bef722c7fd6e3ffb26041f6dace03c676e363846f526bb",
         "spectrum_x_state_3.csv":
-            "58cae163102b62599f5fde0b7aad5bc25658b7609429cf9434eeec250acd064f",
+            "7621c30a545b6dc7d4348a29e9f695037ded2569d22ed50ab2cdc3e6dbc6570d",
     },
     "well-bg": {
         "spectrum_g_energies.csv":

@@ -22,7 +22,6 @@ from groupcalc import (
     sin_g,
     tsallis,
 )
-from groupcalc import groups
 from groupcalc.groups import exp_g_array, log_g_array
 
 LN2 = 0.6931471805599453
@@ -405,34 +404,7 @@ def test_exp_g_array_edge_value():
         exp_g_array(tsallis(0.5), np.array([0.0, -2.0, -2.5]))
 
 
-# -- the abe array inverse at the margin of its numpy decisions ----------------
-
-
-def _g_values(cls, s):
-    """The values of G that the scalar inverse compares with s or polishes."""
-    seen = []
-
-    def g(t):
-        seen.append(cls.g(t))
-        return seen[-1]
-
-    try:
-        groups._bracketed_invert(g, cls.g_prime, s, cls.tol)
-    except (ConvergenceError, OverflowError):  # G's exp may overflow at the root
-        pass
-    return seen
-
-
-def _with_neighbours(values, ulps=3):
-    """Each value and the floats up to ``ulps`` ulps below and above it."""
-    out = []
-    for v in values:
-        out.append(v)
-        down = up = np.float64(v)
-        for _ in range(ulps):
-            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
-            out += [down.item(), up.item()]
-    return out
+# -- the abe inverse: array against scalar, and against a 50-digit root -------
 
 
 ABE_PARAMETERS = st.one_of(
@@ -443,47 +415,116 @@ ABE_PARAMETERS = st.one_of(
 )
 TARGETS = st.one_of(
     st.floats(-5.0, 5.0),
-    st.floats(1e300, 1.7e308),  # past where exp overflows while the bracket grows
+    st.floats(1e300, 1.7e308),  # where the exps of G overflow near the root
     st.floats(-1.7e308, -1e300),
 )
 
 
-@given(ab=ABE_PARAMETERS, targets=st.lists(TARGETS, min_size=1, max_size=3), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_abe_array_inverse_at_decision_margin(ab, targets, data):
-    # s = G(t) a few ulps either side, at every t where the scalar bracket and
-    # bisection evaluate G, puts G(t) - s inside the margin where numpy's exp
-    # may not decide.  The array inverse must still have the scalar's bits.
+@given(ab=ABE_PARAMETERS, targets=st.lists(TARGETS, min_size=1, max_size=3),
+       size=st.integers(1, 130), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_abe_array_inverse_matches_scalar(ab, targets, size, data):
+    # Every element takes the scalar's Newton steps and stops on its own, so
+    # an array of any length has the scalar's bits, or raises its error.
     cls = abe(*ab)
     lo, hi = cls.domain
     near_edge = [np.nextafter(edge, 0.0).item() for edge in (lo, hi) if math.isfinite(edge)]
-    s = []
-    for target in targets + near_edge:
-        s0 = min(max(target, lo), hi)
-        if cls.contains(s0):
-            s += [s0] + _with_neighbours(v for v in _g_values(cls, s0) if math.isfinite(v))
-    scales = 10.0 ** np.arange(-3.0, 301.0, 8.0)  # a - b = 1e-7 inverts only at large |s|
-    s += np.linspace(max(lo, -5.0), min(hi, 5.0), 34)[1:-1].tolist() + [*scales, *-scales]
-    s = _scalar_inverts(cls, [v for v in s if cls.contains(v)])
-    # a - b = 1e-7 with a or b near 0 bounds G near 1e7 on one side, and the
-    # scalar inverts few of the inputs there: repeat them up to the vector size
-    s *= -(-groups._VECTOR_INVERT_MIN // len(s))
-    s = np.array(data.draw(st.permutations(s)))
-    assert s.size >= groups._VECTOR_INVERT_MIN  # the vector path runs
+    scales = 10.0 ** np.arange(-300.0, 301.0, 8.0)
+    points = [min(max(target, lo), hi) for target in targets] + near_edge + [0.0, -0.0]
+    points += np.linspace(max(lo, -5.0), min(hi, 5.0), 34)[1:-1].tolist() + [*scales, *-scales]
+    points = [v for v in points if cls.contains(v)]
+    s = np.array(data.draw(st.lists(st.sampled_from(points), min_size=size, max_size=size)))
     assert _outcome(cls.g_inv_array, s) == _outcome(_scalar_loop(cls.g_inv), s)
 
 
-def test_abe_decisions_inside_margin_are_libm():
-    # Where numpy's exp and libm's exp round G(t) apart, s = libm's G(t) is
-    # inside the margin: the side of s that G(t) is on must be libm's.
-    cls = abe(1.0, -1.0)
-    t = np.linspace(-3.0, 3.0, 4001)
-    s = cls.g_array(t)
-    by_numpy = (np.exp(t) - np.exp(-t)) / 2.0
-    apart = by_numpy != s
-    if not apart.any():
-        pytest.skip("numpy's exp rounds as libm's does on this machine")
-    assert (cls._g_against(t[apart], s[apart]) == s[apart]).all()
-    # away from the margin numpy decides
-    far = s + 1e-6 * (1.0 + np.abs(s))
-    assert (cls._g_against(t, far) == by_numpy).all()
+def test_abe_on_an_edge_is_tsallis():
+    # b = 0 or a = 0 make G = expm1(ct)/c with c = a + b: G^-1 is log1p(cs)/c
+    for a, b in ((1.0, 0.0), (0.0, -0.5), (1e-12, 0.0), (2.5, 0.0)):
+        cls, c = abe(a, b), a + b
+        s = np.array(_near_edges(cls) + np.linspace(-0.9, 0.9, 19).tolist())
+        s = s[np.vectorize(cls.contains)(s)]
+        want = _outcome(_scalar_loop(lambda v: math.log1p(c * v) / c + 0.0), s)
+        assert _outcome(cls.g_inv_array, s) == want
+        assert _outcome(_scalar_loop(cls.g_inv), s) == want
+    assert abe(0.5, 0.0).g_inv(-1.5) == tsallis(0.5).g_inv(-1.5)
+    # the two inputs nearest the lower edge -1 of abe(1, 0)
+    for s in (-0.999999999999999, np.nextafter(-1.0, 0.0).item()):
+        assert abe(1.0, 0.0).g_inv(s) == math.log1p(s)
+
+
+def _mp_root(cls, s, t):
+    """The root of G(u) = s to 45 digits, by Newton steps from t, with G
+    through expm1 so that a tiny root keeps its digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    a, b = mpmath.mpf(cls.a), mpmath.mpf(cls.b)
+
+    def g(u):
+        return (mpmath.expm1(a * u) - mpmath.expm1(b * u)) / (a - b)
+
+    def g_prime(u):
+        return (a * mpmath.exp(a * u) - b * mpmath.exp(b * u)) / (a - b)
+
+    u = mpmath.mpf(t)
+    for _ in range(200):
+        step = (g(u) - s) / g_prime(u)
+        u -= step
+        if abs(step) <= abs(u) * mpmath.mpf(10) ** -45:
+            return u
+    raise AssertionError(f"no 50-digit root near {t!r} for s={s!r}")
+
+
+def _ulps_from_root(cls, s):
+    t = cls.g_inv(s)
+    assert isinstance(t, float)
+    root = _mp_root(cls, s, t)
+    return float(abs(root - t) / math.ulp(float(root)))
+
+
+ORACLE_CLASSES = [(1.0, -1.0), (0.5, -2.0), (3.0, -0.05), (1.2, -0.7), (0.1, -2.0),
+                  (5e-8, -5e-8), (5e-13, -5e-13), (1.0, -0.001), (1e200, -1.0)]
+ORACLE_MAGNITUDES = [1e-300, 1e-20, 1e-8, 0.1, 1.0, 10.0, 1e10, 1e100, 1e300, 1.7e308]
+# The inputs where the inverse is more than 2 ulps from the root, each with
+# the largest error allowed and its cause.
+ORACLE_EXCEPTIONS = {
+    # Ill-conditioned: s/(t G'(t)) = 34 at the root, so one ulp of the
+    # residual moves t by up to 34 ulps.
+    (1.0, -0.001, -1.0): 34.0,
+    # The root, 4.5e-198, lies far below inverse_abs = 1e-14 and far from s:
+    # the absolute stop rule ends Newton after its first step.
+    (1e200, -1.0, -1e-200): math.inf,
+}
+
+
+@pytest.mark.parametrize("ab", ORACLE_CLASSES, ids=lambda ab: "abe:a=%g,b=%g" % ab)
+def test_abe_inverse_within_two_ulps_of_the_root(ab):
+    cls = abe(*ab)
+    inputs = [s for y in ORACLE_MAGNITUDES for s in (y, -y)]
+    inputs += [s for (a, b, s) in ORACLE_EXCEPTIONS if (a, b) == ab]
+    for s in inputs:
+        bound = ORACLE_EXCEPTIONS.get((*ab, s), 2.0)
+        assert _ulps_from_root(cls, s) <= bound, s
+
+
+@pytest.mark.parametrize("a, b, s", [
+    (1.0, -1.0, 1e-20), (1.0, -1.0, -1e-300),  # G is a difference of exps
+    (5e-8, -5e-8, 2.0), (5e-13, -5e-13, 2.0),  # a - b = 1e-7 and 1e-12
+    (1.0, -1.0, 1.7e308), (1.0, -1.0, -1.7e308),  # e^t overflows at the root
+    (0.1, -2.0, 1e308), (1e200, -1.0, 1e300), (1e200, -1.0, -1e300),
+])
+def test_abe_inverse_at_hard_inputs(a, b, s):
+    assert _ulps_from_root(abe(a, b), s) <= 2.0
+
+
+def test_abe_inverse_of_zero_is_plus_zero():
+    for cls in (abe(1.0, -1.0), abe(1.0, 0.0), abe(0.0, -2.0)):
+        for s in (0.0, -0.0):
+            assert math.copysign(1.0, cls.g_inv(s)) == 1.0 and cls.g_inv(s) == 0.0
+        u = cls.g_inv_array(np.array([-0.0, 0.0, 0.25]))
+        assert np.signbit(u[:2]).tolist() == [False, False]
+
+
+def test_abe_rejects_non_finite_parameters():
+    for a, b in ((1.0, -math.inf), (math.inf, -1.0), (math.nan, -1.0), (1e308, -1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            abe(a, b)
