@@ -92,7 +92,7 @@ class _Array:
         for name in ("exp", "expm1", "log", "log1p", "sin", "cos", "sinh", "cosh", "asinh")
     )
     sqrt, pow, not_, where, each = np.sqrt, _pow, np.logical_not, np.where, _map
-    any, maximum = np.ndarray.any, np.maximum
+    any, maximum = np.count_nonzero, np.maximum  # count_nonzero: ndarray.any at a third of its cost
 
     def full(t, c):
         return np.full(t.shape, c)
@@ -108,14 +108,14 @@ class _Array:
 
     def cutoff_pow(base, exponent):
         clamped = _clamps.mask = base < 0.0
-        if clamped.any():
+        if np.count_nonzero(clamped):
             _clamps.seen = True
         values = np.zeros(base.shape)
         values[~clamped] = _pow(base[~clamped], exponent)
         return values
 
     def reject(bad, error, *at):
-        if bad.any():
+        if np.count_nonzero(bad):
             i = bad.argmax()
             raise error(*(a[i].item() for a in at))
 

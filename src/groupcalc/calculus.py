@@ -10,12 +10,16 @@ Gauss-Legendre with panel doubling, both driven by an absolute tolerance.
 Both run over batch integrands, which map an array of nodes to an array of
 values: Simpson keeps its pending intervals on a stack in the depth-first
 order of the recursion and evaluates up to ``_SIMPSON_BATCH`` of them per
-call, Gauss-16 a bounded chunk of panels per call.  Each adds the values up
-as the per-point recursion and loop did, so every result, and every
+call, Gauss-16 a bounded chunk of panels per call.  The first call takes the
+nodes of the two steps that always run (Simpson's root and its halves'
+midpoints, Gauss-16's rounds of 1 and 2 panels); if it raises, the two
+steps' calls are made in turn.  Each backend adds the values up as the
+per-point recursion and loop did, so every result, and every
 ``ToleranceNotMet`` text, is theirs bit for bit.  The deformed integrals take
 A, G, G' and G^{-1} from the array forms of the class, one call per batch;
-the public :func:`integrate` calls its f once per node.  Every integral
-returns a Python float.
+the public :func:`integrate` calls its f once per node, and, after an error
+in the first call, up to 5 Simpson or 48 Gauss-16 nodes a second time.
+Every integral returns a Python float.
 """
 
 from __future__ import annotations
@@ -140,17 +144,43 @@ _SIMPSON_BATCH = 512
 _GAUSS_BATCH = 64
 
 
-# The columns of a pending Simpson interval: the recursion's arguments, then
-# its node id.  _KIDS picks the rows of an interval's two halves from the 16
-# columns of _halves.
-_A, _M, _B, _FA, _FM, _FB, _WHOLE, _TOL, _DEPTH, _NODE = range(10)
-_KIDS = np.array([[0, 6, 1, 3, 8, 4, 10, 12, 13, 14], [1, 7, 2, 4, 9, 5, 11, 12, 13, 15]])
+def _in_one_call(F, nodes, k):
+    """F at ``nodes[:k]`` and at ``nodes[k:]``, the next two calls of the
+    recursion or loop, in one call of F.  Where that call raises, F is called
+    on the two parts in turn, so the error is theirs: a batch integrand
+    checks all its nodes stage by stage, and one call could meet an early
+    stage's error at a node of the second part before a later stage's error
+    at a node of the first."""
+    try:
+        values = F(nodes)
+    except Exception:  # noqa: BLE001 - the calls in turn raise it again
+        return F(nodes[:k]), F(nodes[k:])
+    return values[:k], values[k:]
+
+
+# The fields of a pending Simpson interval, a row of the stack: its ends and
+# midpoint, each with its value of F, the recursion's other arguments, then
+# its node id.
+_A, _FA, _M, _FM, _B, _FB, _WHOLE, _TOL, _DEPTH, _NODE = range(10)
+# Per field of an interval's left and right half, the field of the interval
+# it starts from, as an index into the raveled rows of a batch: a and m, or m
+# and b, with their values, the tolerance (halved later) and the depth (raised
+# later).  The midpoints, their values, the wholes and the node ids are
+# filled in later.
+_GATHER = 10 * np.arange(_SIMPSON_BATCH)[:, None, None] + np.array([
+    [_A, _FA, _A, _FA, _M, _FM, _WHOLE, _TOL, _DEPTH, _NODE],
+    [_M, _FM, _M, _FM, _B, _FB, _WHOLE, _TOL, _DEPTH, _NODE],
+])
+# The node ids of the halves of a batch's split intervals, less the first one's.
+_IDS = np.arange(2.0 * _SIMPSON_BATCH)
 
 
 def _adaptive_simpson(F, a, b, abs_tol, max_depth):
     """Adaptive Simpson over a stack of pending intervals kept in the
     depth-first order of the recursion; each call of F takes up to
-    ``_SIMPSON_BATCH`` intervals from its top.
+    ``_SIMPSON_BATCH`` intervals from its top.  The first call takes the
+    five nodes the recursion always starts with: a, m, b and the midpoints of
+    the two halves.
 
     An interval's value is the sum of its two halves' values, as the
     recursion returns it.  Where an interval misses the tolerance at
@@ -159,65 +189,67 @@ def _adaptive_simpson(F, a, b, abs_tol, max_depth):
     interval among them takes its place.
     """
     m = 0.5 * (a + b)
-    fa, fm, fb = F(np.array([a, m, b])).tolist()
+    ends, f_mids = _in_one_call(F, np.array([a, m, b, 0.5 * (a + m), 0.5 * (m + b)]), 3)
+    fa, fm, fb = ends.tolist()
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = np.array([[a, m, b, fa, fm, fb, whole, abs_tol, 0.0, 0.0]])
-    top, count, failure = 1, 1, None
-    values, splits = [], []  # per batch: (nodes, values as leaves), (nodes, first child ids)
-    while top:
-        rows = stack[max(top - _SIMPSON_BATCH, 0) : top][::-1]  # the next one first
-        top -= len(rows)
-        mids, f_mids, halves, both, err = _simpson_step(F, rows)
-        values.append((rows[:, _NODE].astype(int), both + err / 15.0))
-        split = (~(np.abs(err) <= 15.0 * rows[:, _TOL])).nonzero()[0]  # nan splits
-        stuck = split[rows[split, _DEPTH] >= max_depth]
-        if stuck.size:  # the recursion visits nothing after the first stuck interval
-            n = stuck[0]
-            failure = (
-                f"adaptive Simpson hit depth {max_depth} on "
-                f"[{rows[n, _A].item()}, {rows[n, _B].item()}]"
-            )
-            top, split = 0, split[split < n]
+    stack = np.empty((_SIMPSON_BATCH, 10))  # its top at stack[top], growing downwards
+    top, count, batches, failure = _SIMPSON_BATCH - 1, 1, 0, None
+    stack[top] = a, fa, m, fm, b, fb, whole, abs_tol, 0.0, 0.0
+    leaves, splits = [], []  # per batch: (node ids, values as leaves), (node ids, first child id)
+    while top < len(stack):
+        rows = stack[top : top + _SIMPSON_BATCH]  # the next one first
+        top += len(rows)
+        # each interval's left and right half as pending intervals, (a, lm, m)
+        # and (m, rm, b) around their midpoints lm, rm: two rows of halves
+        kids = rows.ravel().take(_GATHER[: len(rows)])
+        halves = kids.reshape(-1, 10)
+        mids = 0.5 * (halves[:, _A] + halves[:, _B])
+        if f_mids is None:
+            f_mids = F(mids)
+        halves[:, _M], halves[:, _FM] = mids, f_mids
+        # (m - a) / 6 (fa + 4 flm + fm) and (b - m) / 6 (fm + 4 frm + fb)
+        halves[:, _WHOLE] = values = (halves[:, _B] - halves[:, _A]) / 6.0 * (
+            halves[:, _FA] + 4.0 * f_mids + halves[:, _FB]
+        )
+        both, f_mids = values[0::2] + values[1::2], None
+        err = both - rows[:, _WHOLE]
+        node = rows[:, _NODE].astype(int)
+        leaves.append((node, both + err / 15.0))
+        split = (~(abs(err) <= 15.0 * rows[:, _TOL])).nonzero()[0]  # nan splits
+        batches += 1
+        if batches > max_depth:  # before that, no interval is max_depth deep
+            stuck = split[rows[split, _DEPTH] >= max_depth]
+            if stuck.size:  # the recursion visits nothing after the first stuck interval
+                n = stuck[0]
+                failure = (
+                    f"adaptive Simpson hit depth {max_depth} on "
+                    f"[{rows[n, _A].item()}, {rows[n, _B].item()}]"
+                )
+                top, split = len(stack), split[split < n]
         if not split.size:
             continue
-        kids = _halves(rows, mids, f_mids, halves, count)[split[:, None, None], _KIDS]
-        splits.append((rows[split, _NODE].astype(int), kids[:, 0, _NODE].astype(int)))
-        count += 2 * len(rows)
-        if top + 2 * split.size > len(stack):
-            stack = np.concatenate((stack[:top], np.empty((top + 2 * split.size, 10))))
-        stack[top : top + 2 * split.size] = kids.reshape(-1, 10)[::-1]
-        top += 2 * split.size
+        splits.append((node[split], count))
+        new = 2 * split.size
+        if top < new:  # room below the top, as much as the stack holds
+            room = len(stack) + new
+            stack, top = np.concatenate((np.empty((room, 10)), stack)), top + room
+        top -= new
+        pushed = stack[top : top + new]
+        pushed[:] = kids[split].reshape(-1, 10)
+        tol, depth = pushed[:, _TOL], pushed[:, _DEPTH]  # columns: numpy is slow on short rows
+        tol *= 0.5
+        depth += 1.0
+        pushed[:, _NODE] = _IDS[:new] + count
+        count += new
     if failure is not None:
         raise ToleranceNotMet(failure)
     value = np.empty(count)
-    for node, leaf in values:
+    for node, leaf in leaves:
         value[node] = leaf
     for node, first in reversed(splits):  # a parent's halves come in later batches
-        value[node] = value[first] + value[first + 1]
+        last = first + 2 * node.size
+        value[node] = value[first:last:2] + value[first + 1 : last : 2]
     return value[0].item()
-
-
-def _simpson_step(F, rows):
-    """One Simpson step on each interval of ``rows``, as the recursion takes
-    it: the midpoints (lm, rm) of its halves, F there, the halves' values
-    (left, right), their sum, and the error estimate left + right - whole."""
-    mids = 0.5 * (rows[:, _A:_B] + rows[:, _M : _B + 1])
-    f_mids = F(mids.ravel()).reshape(mids.shape)
-    # ((m - a) / 6 (fa + 4 flm + fm), (b - m) / 6 (fm + 4 frm + fb))
-    halves = (rows[:, _M : _B + 1] - rows[:, _A:_B]) / 6.0 * (
-        rows[:, _FA:_FB] + 4.0 * f_mids + rows[:, _FM : _FB + 1]
-    )
-    both = halves[:, 0] + halves[:, 1]
-    return mids, f_mids, halves, both, both - rows[:, _WHOLE]
-
-
-def _halves(rows, mids, f_mids, halves, count):
-    """Per interval the columns a, m, b, fa, fm, fb, lm, rm, flm, frm, left,
-    right, its halves' tolerance and depth, and their node ids, numbered
-    from ``count``."""
-    ids = np.arange(count, count + 2 * len(rows), dtype=float).reshape(-1, 2)
-    half_tol, deeper = 0.5 * rows[:, _TOL : _TOL + 1], rows[:, _DEPTH : _DEPTH + 1] + 1.0
-    return np.concatenate((rows[:, :6], mids, f_mids, halves, half_tol, deeper, ids), axis=1)
 
 
 def _legval(x, c):
@@ -257,35 +289,50 @@ def _gauss_legendre_16():
     return x, w
 
 
+def _panel_nodes(edges):
+    """The nodes of the 16-point rule on the panels between successive
+    ``edges``, panel by panel, and the panels' half-widths."""
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * _gauss_legendre_16()[0]).ravel(), half
+
+
+def _panel_sum(fx, half, total=0.0):
+    """``total`` plus the panels' values from F at their nodes, in panel order."""
+    weights = _gauss_legendre_16()[1]
+    # a panel's sum() from left to right; cumsum adds in that order, and
+    # the one bit it skips, 0 + -0.0 = 0.0, is lost in the total anyway
+    panel = np.cumsum(weights * fx.reshape(-1, weights.size), axis=1)[:, -1]
+    for value in (half * panel).tolist():
+        total += value
+    return total
+
+
 def _gauss16_panels(F, a, b, panels):
     """The 16-point rule on ``panels`` equal panels of [a, b], the panel
     values added up in panel order."""
-    nodes, weights = _gauss_legendre_16()
     edges = np.linspace(a, b, panels + 1)
     total = 0.0
     for start in range(0, panels, _GAUSS_BATCH):
-        stop = min(start + _GAUSS_BATCH, panels)
-        lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = F((mid[:, None] + half[:, None] * nodes).ravel()).reshape(-1, nodes.size)
-        # a panel's sum() from left to right; cumsum adds in that order, and
-        # the one bit it skips, 0 + -0.0 = 0.0, is lost in the total anyway
-        panel = np.cumsum(weights * fx, axis=1)[:, -1]
-        for value in (half * panel).tolist():
-            total += value
+        x, half = _panel_nodes(edges[start : start + _GAUSS_BATCH + 1])
+        total = _panel_sum(F(x), half, total)
     return total
 
 
 def _gauss16(F, a, b, abs_tol, max_depth):
-    prev = _gauss16_panels(F, a, b, 1)
-    panels = 2
-    for _ in range(max_depth):
+    """Panel doubling from 1 panel; the nodes of the first two rounds, which
+    always run, take one call of F."""
+    (x1, half1), (x2, half2) = (_panel_nodes(np.linspace(a, b, n + 1)) for n in (1, 2))
+    f1, f2 = _in_one_call(F, np.concatenate((x1, x2)), x1.size)
+    prev, cur, panels = _panel_sum(f1, half1), _panel_sum(f2, half2), 2
+    while not abs(cur - prev) <= abs_tol:  # nan: another round
+        if panels == 2**max_depth:
+            raise ToleranceNotMet(
+                f"Gauss-Legendre doubling exceeded {max_depth} rounds on [{a}, {b}]"
+            )
+        prev, panels = cur, 2 * panels
         cur = _gauss16_panels(F, a, b, panels)
-        if abs(cur - prev) <= abs_tol:
-            return cur
-        prev = cur
-        panels *= 2
-    raise ToleranceNotMet(f"Gauss-Legendre doubling exceeded {max_depth} rounds on [{a}, {b}]")
+    return cur
 
 
 _QUADRATURE = dict(zip(QUAD_BACKENDS, (_adaptive_simpson, _gauss16)))

@@ -56,8 +56,9 @@ class GroupClass:
     """Base interface: generator, inverse, derivatives, domain metadata.
 
     ``domain`` is the open interval of arguments accepted by ``g_inv`` (and by
-    every deformed function built on it).  Instances are immutable and all
-    methods are pure, so they are safe to share between threads.
+    every deformed function built on it); the built-in classes compute it
+    once, at construction.  Instances are immutable and all methods are
+    pure, so they are safe to share between threads.
     """
 
     #: open interval (lo, hi) of valid arguments to g_inv
@@ -218,14 +219,13 @@ class TsallisClass(_ClosedInverse):
     q: float
     kind: str = field(default="tsallis", init=False)
 
+    def __post_init__(self):
+        edge = -1.0 / self.gamma
+        object.__setattr__(self, "domain", (edge, _INF) if self.gamma > 0 else (-_INF, edge))
+
     @property
     def gamma(self) -> float:
         return 1.0 - self.q
-
-    @property
-    def domain(self):
-        edge = -1.0 / self.gamma
-        return (edge, _INF) if self.gamma > 0 else (-_INF, edge)
 
     def g(self, t, _m=_Scalar):
         return _m.expm1(self.gamma * t) / self.gamma
@@ -275,7 +275,7 @@ class KaniadakisClass(_ClosedInverse):
         return self.kappa**2 * _m.cosh(self.kappa * t)
 
     def deformation_factor(self, x, _m=_Scalar):
-        return _m.sqrt(1.0 + _m.pow(self.kappa * x, 2))
+        return _m.hypot1(self.kappa * x)
 
     def spec_string(self):
         return f"kaniadakis:k={_fmt_param(self.kappa)}"
@@ -310,12 +310,9 @@ class AbeClass(_OneFormula):
                 "Abe class needs a >= 0 >= b, otherwise G is not monotone "
                 "and the inverse is ill-defined"
             )
-
-    @property
-    def domain(self):
         lo = -_INF if self.b < 0 else -1.0 / self.a
         hi = _INF if self.a > 0 else -1.0 / self.b
-        return (lo, hi)
+        object.__setattr__(self, "domain", (lo, hi))
 
     def g(self, t, _m=_Scalar):
         a, b = self.a, self.b
@@ -343,9 +340,10 @@ class AbeClass(_OneFormula):
         # r(t) = log(y/v) - ct is convex and decreasing, so Newton steps from
         # a lower bound of the root climb to it.  s = 0 solves y = 1, then gives 0.
         d, y, c = a - b, abs(s) + (s == 0.0), _m.where(s < 0.0, -b, a)
-        dy, log_dy = d * y, _m.log(y) + math.log(d)
+        dy, log_dy, minus_d, stop = d * y, _m.log(y) + math.log(d), -d, tol.inverse_abs
         # there y/v ~ dy nears overflow: take log((y/k)/v) + log(k), k = max(d, 1)
         big, k = dy > 1e300, max(d, 1.0)
+        split_log = _m.any(big)
         y_k, log_k = _m.where(big, y / k, y), _m.where(big, math.log(k), 0.0)
         # G <= expm1(ct)/c and G <= e^{ct}/d bound the root from below
         t = _m.maximum(_m.where(big, log_dy, _m.log1p(c * y)) / c, log_dy / c)
@@ -354,11 +352,13 @@ class AbeClass(_OneFormula):
         t = _m.where(dy < 1e-3, y - (c - 0.5 * d) * y * y, t)
         live = _m.full(s, True)
         for _ in range(tol.inverse_max_iter):
-            e = _m.expm1(-d * t)  # -d v; below 1e-20, t is v to the last bit
-            v = _m.where(e > -1e-20, t, e / -d)  # and keeps it where dt is subnormal
-            delta = (_m.log(y_k / v) + log_k - c * t) / (c + (1.0 + e) / v)
-            t = _m.where(live, t + delta, t)
-            live = live & _m.not_(abs(delta) <= tol.inverse_abs * (1.0 + t))  # t > 0
+            e = _m.expm1(minus_d * t)  # -d v; below 1e-20, t is v to the last bit
+            v = _m.where(e > -1e-20, t, e / minus_d)  # and keeps it where dt is subnormal
+            log_ratio = _m.log(y_k / v) + log_k if split_log else _m.log(y_k / v)
+            # t > 0, so a frozen t takes a zero step, which meets the stop rule
+            delta = _m.where(live, (log_ratio - c * t) / (c + (1.0 + e) / v), 0.0)
+            t = t + delta
+            live = _m.not_(abs(delta) <= stop * (1.0 + t))
             if not _m.any(live):
                 break
         _m.reject(live, lambda s: ConvergenceError(f"abe inverse did not converge for s={s!r}"), s)
@@ -374,7 +374,9 @@ class SeriesClass(_OneFormula):
 
     Only a local group law: the inverse is a Newton iteration seeded at s,
     restricted to the neighbourhood of 0 where G' stays above
-    ``tol.series_gprime_min``.
+    ``tol.series_gprime_min``; ``domain`` is G at its ends, computed once.
+    G and G' are sums over one list of powers of t, so a Newton step takes
+    each pow(t, k) once for both; only G's last, pow(t, m + 1), is its own.
     """
 
     coeffs: tuple[float, ...]
@@ -393,6 +395,8 @@ class SeriesClass(_OneFormula):
                 f"{len(self.coeffs)} supplied coefficients"
             )
         object.__setattr__(self, "_t_range", self._monotone_t_range())
+        t_lo, t_hi = self._t_range
+        object.__setattr__(self, "domain", (self.g(t_lo), self.g(t_hi)))
 
     def _monotone_t_range(self):
         """Largest scanned interval around 0 where G' > series_gprime_min."""
@@ -414,22 +418,34 @@ class SeriesClass(_OneFormula):
     def t_range(self):
         return self._t_range
 
-    @property
-    def domain(self):
-        t_lo, t_hi = self._t_range
-        return (self.g(t_lo), self.g(t_hi))
+    def _powers(self, t, _m=_Scalar):
+        """[t, pow(t, 2), ..., pow(t, m)]: the powers of G', and of G but its
+        last (pow(t, 1) is t, bit for bit)."""
+        powers = [t]
+        for k in range(2, self.truncation_order + 1):
+            powers.append(_m.pow(t, k))
+        return powers
+
+    def _g(self, t, powers, _m=_Scalar):
+        """G(t) from ``powers`` of t; it takes pow(t, m + 1) itself."""
+        m, coeffs = self.truncation_order, self.coeffs
+        acc = t  # acc = acc + ..., since += would write into an array t
+        for k in range(1, m):
+            acc = acc + coeffs[k - 1] * powers[k] / (k + 1)
+        return acc + coeffs[m - 1] * _m.pow(t, m + 1) / (m + 1)
+
+    def _g_prime(self, powers):
+        """G' from ``powers`` of its argument."""
+        acc = 1.0  # order >= 1, so an array argument makes acc an array
+        for c, p in zip(self.coeffs, powers):
+            acc = acc + c * p
+        return acc
 
     def g(self, t, _m=_Scalar):
-        acc = t  # acc = acc + ..., since += would write into an array t
-        for k in range(1, self.truncation_order + 1):
-            acc = acc + self.coeffs[k - 1] * _m.pow(t, k + 1) / (k + 1)
-        return acc
+        return self._g(t, self._powers(t, _m), _m)
 
     def g_prime(self, t, _m=_Scalar):
-        acc = 1.0  # order >= 1, so an array t makes acc an array
-        for k in range(1, self.truncation_order + 1):
-            acc = acc + self.coeffs[k - 1] * _m.pow(t, k)
-        return acc
+        return self._g_prime(self._powers(t, _m))
 
     def g_second(self, t, _m=_Scalar):
         acc = 0.0
@@ -450,12 +466,15 @@ class SeriesClass(_OneFormula):
         live, flat = _m.full(s, True), _m.full(s, False)
         for _ in range(tol.inverse_max_iter):
             u = _m.where(live, t, 0.0)  # G and G' at 0 stand in where t is frozen
-            slope = self.g_prime(u, _m)
+            powers = self._powers(u, _m)
+            slope = self._g_prime(powers)
             low = live & (slope <= floor)
             live, flat = live & _m.not_(low), flat | low
             if not _m.any(live):
                 break
-            delta = (self.g(_m.where(live, u, 0.0), _m) - s) / slope
+            # G at w = where(live, u, 0): u's powers are w's where live, the
+            # only elements whose step counts, and only pow(w, m + 1) is new
+            delta = (self._g(_m.where(live, u, 0.0), powers, _m) - s) / slope
             t = _m.where(live, u - delta, t)
             live = live & _m.not_(abs(delta) <= tol.inverse_abs * (1.0 + abs(t)))
             if not _m.any(live):

@@ -101,9 +101,10 @@ def test_exit_status_table(exc, code, line):
      f"parse error at offset {MAX_DEPTH}: expression deeper than {MAX_DEPTH} levels"),
     (["eval", "gint(" * 2000 + "1" + ")" * 2000], 2,
      f"parse error at offset {5 * MAX_DEPTH}: expression deeper than"),
-    # A(x) = sqrt(1 + (kappa x)^2) and the suites' generators leave the float range.
+    # A(x)^3 of the field term at interior nodes, and the suites' generators,
+    # leave the float range.
     (["solve", "--class", "kaniadakis:k=2", "--potential", "harmonic:omega=1", "--path", "x",
-      "--N", "3", "--k", "1", "--xmin", "-1.3e154", "--xmax", "1.3e154"], 3,
+      "--N", "4", "--k", "1", "--xmin", "-1.3e154", "--xmax", "1.3e154"], 3,
      "domain error: overflow: "),
     (["solve", "--class", "kaniadakis:k=2", "--potential", "well:L=1.3e154", "--path", "x",
       "--N", "3", "--k", "1"], 3, "domain error: overflow: "),
@@ -118,6 +119,17 @@ def test_typed_failure(tmp_path, argv, code, prefix):
     assert (got, stdout) == (code, "")
     assert err.startswith(prefix) and ERROR_LINE.fullmatch(err), err
     assert not out.exists()
+
+
+def test_kaniadakis_walls_past_the_square_range_solve(tmp_path):
+    # A(x) = hypot(1, kappa x) at the walls, where (kappa x)^2 overflows; the
+    # one interior node is x = 0, so the spectrum is the field term there
+    out = tmp_path / "out"
+    argv = ["solve", "--class", "kaniadakis:k=2", "--potential", "harmonic:omega=1", "--path", "x",
+            "--N", "3", "--k", "1", "--xmin", "-1.3e154", "--xmax", "1.3e154", "--out", str(out)]
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert (out / "spectrum_energies.csv").read_text() == "n,energy,residual\n1,-1,0\n"
 
 
 # Python's ``**`` overflows with an errno tuple; it reads as libm's overflow.

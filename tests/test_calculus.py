@@ -317,7 +317,7 @@ INTEGRANDS = [lambda x: 1.0, lambda x: x * x, lambda x: x**3, math.sin, lambda x
     backend=st.sampled_from(["simpson", "gauss16"]),
     method=st.sampled_from(["weight", "substitution"]),
     quad_exp=st.floats(6.0, 13.0),
-    max_depth=st.sampled_from([2, 5, 40]),
+    max_depth=st.sampled_from([1, 2, 5, 40]),
     f=st.sampled_from(INTEGRANDS),
     ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)).map(sorted).flatmap(st.permutations),
     high_accuracy=st.booleans(),
@@ -453,3 +453,96 @@ def test_batch_integrand_raises_the_first_nodes_error(backend, cls, f, a, b, tex
     with pytest.raises(DomainError) as exc:
         fundamental_theorem_residual(cls, f, a, b, Tolerances(quad_backend=backend))
     assert str(exc.value) == text
+
+
+# -- one call of the integrand where the recursion and loop make two -----------------
+
+
+def _counted(F):
+    """F, and the list of the node counts of its calls."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return F(x)
+
+    return counted, sizes
+
+
+def test_simpson_first_call_takes_five_nodes():
+    # a constant meets the tolerance at the root: a, m, b, lm and rm in one call
+    F, sizes = _counted(lambda x: np.full(x.shape, 2.0))
+    assert calculus._integrate(F, 0.0, 1.0, Tolerances()) == 2.0
+    assert sizes == [5]
+
+
+def test_gauss16_first_two_rounds_take_one_call():
+    F, sizes = _counted(lambda x: np.full(x.shape, 2.0))
+    tol = Tolerances(quad_backend="gauss16")
+    got = calculus._integrate(F, 0.0, 1.0, tol)
+    assert sizes == [48]  # 16 nodes of round 1, 32 of round 2, which converges
+    assert got == oracle_integrate(lambda x: 2.0, 0.0, 1.0, tol)
+
+
+def _raising_at(*bad):
+    def f(x):
+        if x in bad:
+            raise ValueError(f"no value at {float(x)!r}")  # the oracles pass np.float64
+        return math.sin(x)
+
+    return f
+
+
+def test_simpson_error_only_at_the_quarter_points_matches_oracle():
+    # only lm = 0.25 and rm = 0.75 raise: the merged call fails, and the calls
+    # in turn raise the recursion's error, at lm
+    tol, f = Tolerances(), _raising_at(0.25, 0.75)
+    F, sizes = _counted(calculus._each(f))
+    want = _bits(oracle_integrate, f, 0.0, 1.0, tol)
+    assert want == (ValueError, "no value at 0.25")
+    assert _bits(calculus._integrate, F, 0.0, 1.0, tol) == want
+    assert sizes == [5, 3, 2]
+
+
+def test_gauss16_error_only_in_round_two_matches_oracle():
+    nodes, _ = _gauss_legendre_16()
+    node = (0.25 + 0.25 * nodes[3]).item()  # a node of the left panel of round 2
+    assert node not in (0.5 + 0.5 * nodes).tolist()
+    tol, f = Tolerances(quad_backend="gauss16"), _raising_at(node)
+    F, sizes = _counted(calculus._each(f))
+    want = _bits(oracle_integrate, f, 0.0, 1.0, tol)
+    assert want == (ValueError, f"no value at {node!r}")
+    assert _bits(calculus._integrate, F, 0.0, 1.0, tol) == want
+    assert sizes == [48, 16, 32]
+
+
+class _Holed(_Bent):
+    """_Bent whose inverse has no value at one point."""
+
+    def __init__(self, hole):
+        self.hole = hole
+
+    def g_inv(self, s):
+        if s == self.hole:
+            raise DomainError(f"no inverse at {s!r}")
+        return s
+
+
+@pytest.mark.parametrize("backend", ["simpson", "gauss16"])
+def test_merged_call_keeps_the_error_of_the_calls_in_turn(backend):
+    # The weight of the primal integrand fails at a node of the second call
+    # (lm = 0.125, or a round-2 node), an earlier stage than f, which fails at
+    # x + h for the first node x of the first call.  One call would raise the
+    # weight's error; the calls in turn, like the per-point oracle, raise f's.
+    tol = Tolerances(quad_backend=backend)
+    a, b = 0.0, 0.5
+    if backend == "simpson":
+        first, hole = a, 0.125
+    else:  # the first node of round 1, and the first of round 2
+        x0 = _gauss_legendre_16()[0][0].item()
+        first, hole = 0.25 + 0.25 * x0, 0.125 + 0.125 * x0
+    f = _raising_at(first + tol.fd_step_scale * (1.0 + abs(first)))
+    cls = _Holed(hole)
+    want = _bits(oracle_fundamental_theorem_residual, cls, f, a, b, tol, False)
+    assert want[0] is ValueError
+    assert _bits(fundamental_theorem_residual, cls, f, a, b, tol) == want

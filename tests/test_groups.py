@@ -22,7 +22,8 @@ from groupcalc import (
     sin_g,
     tsallis,
 )
-from groupcalc.groups import exp_g_array, log_g_array
+from groupcalc.config import DEFAULT_TOLERANCES
+from groupcalc.groups import SeriesClass, exp_g_array, log_g_array
 
 LN2 = 0.6931471805599453
 ASINH1 = 0.8813735870195430
@@ -528,3 +529,46 @@ def test_abe_rejects_non_finite_parameters():
     for a, b in ((1.0, -math.inf), (math.inf, -1.0), (math.nan, -1.0), (1e308, -1e308)):
         with pytest.raises(ValueError, match="finite"):
             abe(a, b)
+
+
+def test_domains_are_computed_once_and_equal_their_formulas():
+    for q in (0.5, 0.0, 1.5, -2.0):
+        cls, gamma = tsallis(q), 1.0 - q
+        edge = -1.0 / gamma
+        assert cls.domain == ((edge, math.inf) if gamma > 0 else (-math.inf, edge))
+    for a, b in ((1.0, -1.0), (-1.0, 2.0), (0.0, -2.0), (1.0, 0.0), (-0.5, 0.0)):
+        cls, hi, lo = abe(a, b), max(a, b), min(a, b)  # given with a < b, a and b swap
+        assert cls.domain == (-math.inf if lo < 0 else -1.0 / hi, math.inf if hi > 0 else -1.0 / lo)
+    steep = DEFAULT_TOLERANCES.replace(series_gprime_min=0.8)
+    for cls in (series([0.3]), series([1.0, -1.0]), SeriesClass((0.3, -0.4), 2, tol=steep)):
+        t_lo, t_hi = cls.t_range
+        assert cls.domain == (cls.g(t_lo), cls.g(t_hi))
+    assert SeriesClass((0.3, -0.4), 2, tol=steep).domain != series([0.3, -0.4]).domain
+    for cls in (tsallis(0.5), abe(-1.0, 2.0), series([0.3])):
+        assert cls.domain is cls.domain  # held, not recomputed on each read
+
+
+def test_kaniadakis_factor_past_the_square_range():
+    # A = hypot(1, kappa x) where pow(kappa x, 2) overflows, and
+    # sqrt(1 + pow(kappa x, 2)) bit for bit below that
+    cls = kaniadakis(2.0)
+    for x in (1.3e154, -1.3e154, 1e300, -8.9e307):
+        assert cls.deformation_factor(x) == math.hypot(1.0, 2.0 * x)
+    xs = [5e153, -0.3, 2.5, 1.3e154]
+    want = [math.sqrt(1.0 + pow(2.0 * x, 2)) for x in xs[:-1]] + [math.hypot(1.0, 2.6e154)]
+    assert cls.deformation_factor_array(np.array(xs)).tolist() == want
+
+
+@pytest.mark.parametrize("cls", [series([0.3]), series([0.5, 0.125, 0.0208]),
+                                 series([0.3, 0.1, -0.05, 0.01], 3), series([1.0, -1.0])])
+def test_series_formulas_take_the_powers_once(cls):
+    # G and G' from one list of powers equal the term-by-term sums
+    m, c = cls.truncation_order, cls.coeffs
+    for t in (0.0, -0.0, 0.37, -1.2, 3.0, 1e-200, 1e50):
+        g = t
+        g1 = 1.0
+        for k in range(1, m + 1):
+            g = g + c[k - 1] * pow(t, k + 1) / (k + 1)
+            g1 = g1 + c[k - 1] * pow(t, k)
+        assert float(cls.g(t)).hex() == float(g).hex()
+        assert float(cls.g_prime(t)).hex() == float(g1).hex()
