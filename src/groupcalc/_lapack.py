@@ -3,7 +3,7 @@
 ``spectral`` binds :func:`eigh_tridiagonal` as a module attribute and looks
 it up at call time, and the spline of ``_spline`` calls :func:`solve_banded`
 and :func:`solve`, so ``import groupcalc`` and every command that never
-solves an eigenproblem or builds a spline load numpy only, not scipy.
+solves an eigenproblem or builds a spline load no scipy.
 """
 
 

@@ -24,29 +24,20 @@ is sqrt(1 + pow(v, 2)), or hypot(1, v) where the pow overflows.  ``not_``,
 ``any`` and ``where`` take a bool or a bool array, ``maximum`` is the
 larger of two values at each element, and ``form`` gives a group class's
 method in the namespace's form (``g`` or ``g_array``).
+
+This module imports no numpy.  ``_Array`` lives in
+:mod:`groupcalc._libm_array` and is bound here at its first lookup (``from
+groupcalc._libm import _Array`` is one), so the scalar path loads numpy
+only when something builds an array.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 import threading
 
-import numpy as np
-
 _clamps = threading.local()
-
-
-def _map(f, x):
-    """f at every element of the 1-d float array x, one scalar call each."""
-    return np.fromiter(map(f, x.tolist()), float, x.size)
-
-
-def _pow(x, p):
-    """x ** p elementwise, through Python's float ``pow`` as the scalar forms."""
-    return np.fromiter(map(pow, x.tolist(), itertools.repeat(p)), float, x.size)
 
 
 class _Scalar:
@@ -86,47 +77,13 @@ class _Scalar:
         cls.require_in_domain(s)
 
 
-class _Array:
-    exp, expm1, log, log1p, sin, cos, sinh, cosh, asinh = (
-        functools.partial(_map, getattr(math, name))
-        for name in ("exp", "expm1", "log", "log1p", "sin", "cos", "sinh", "cosh", "asinh")
-    )
-    sqrt, pow, not_, where, each = np.sqrt, _pow, np.logical_not, np.where, _map
-    any, maximum = np.count_nonzero, np.maximum  # count_nonzero: ndarray.any at a third of its cost
+def __getattr__(name):
+    """``_Array``, imported from :mod:`groupcalc._libm_array` (which imports
+    numpy) at its first lookup and then bound here, so that a later lookup
+    is a plain module attribute."""
+    if name != "_Array":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from ._libm_array import _Array
 
-    def full(t, c):
-        return np.full(t.shape, c)
-
-    def copy(t):
-        return np.array(t, dtype=float)
-
-    def hypot1(v):
-        try:
-            return np.sqrt(1.0 + _pow(v, 2))
-        except OverflowError:
-            return _map(_Scalar.hypot1, v)
-
-    def cutoff_pow(base, exponent):
-        clamped = _clamps.mask = base < 0.0
-        if np.count_nonzero(clamped):
-            _clamps.seen = True
-        values = np.zeros(base.shape)
-        values[~clamped] = _pow(base[~clamped], exponent)
-        return values
-
-    def reject(bad, error, *at):
-        if np.count_nonzero(bad):
-            i = bad.argmax()
-            raise error(*(a[i].item() for a in at))
-
-    def form(cls, name):
-        return getattr(cls, name + "_array")
-
-    def require_in_domain(cls, s):
-        cls.require_in_domain(s, _m=_Array)
-
-    def run(f, *args):
-        """f(*args, _m=_Array).  An element past the float range becomes inf
-        or nan without a RuntimeWarning, as the scalar arithmetic makes it."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return f(*args, _m=_Array)
+    globals()["_Array"] = _Array
+    return _Array

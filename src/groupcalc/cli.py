@@ -4,7 +4,9 @@ Commands: eval, well, solve, check, repl.  Exit code 0 is success and 1 a
 failed check; a failure exits with the code and ``label: message`` line of
 ``errors.exit_status``, tabulated under "Exit codes" in the README.
 Configuration precedence: command-line flags, then the file named by
-GROUPCALC_CONFIG, then built-in defaults.
+GROUPCALC_CONFIG, then built-in defaults.  ``eval`` and ``repl`` load no
+numpy: ``solve``, ``check`` and ``well`` import the modules they need when
+they run.
 """
 
 from __future__ import annotations
@@ -14,21 +16,11 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import checks, exprlang, tables, well as well_mod
-from .calculus import Func1D, func_from_samples
-from .config import DEFAULT_TOLERANCES, Spec, Tolerances, parse_items, parse_tolerance_overrides
+from . import exprlang, tables
+from .config import DEFAULT_TOLERANCES, SPACE_G, SPACE_X, Spec, Tolerances
+from .config import parse_items, parse_tolerance_overrides
 from .errors import REPORTED, DomainError, exit_status
 from .groups import parse_class_spec
-from .spectral import (
-    SPACE_G,
-    SPACE_X,
-    CallablePotential,
-    InfiniteWell,
-    cross_check_well,
-    solve_box,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,8 +81,14 @@ def _parse_n_list(spec: str):
 
 
 def _parse_potential(text: str):
+    from .spectral import CallablePotential, InfiniteWell
+
     name, _, path = text.partition(":")
     if name == "file":
+        import numpy as np
+
+        from .calculus import func_from_samples
+
         xs, vs = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2, unpack=True)
         return CallablePotential(func_from_samples(xs, vs))
     spec = Spec(text)
@@ -129,6 +127,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_well(args) -> int:
+    from . import well as well_mod
+
     cfg = _build_config(args)
     cls = parse_class_spec(cfg.class_spec)
     n_list = _parse_n_list(args.n)
@@ -159,6 +159,9 @@ def cmd_well(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .calculus import Func1D
+    from .spectral import InfiniteWell, cross_check_well, solve_box
+
     cfg = _build_config(args)
     cls = parse_class_spec(cfg.class_spec)
     potential = _parse_potential(args.potential)
@@ -193,6 +196,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks
+
     cfg = _build_config(args)
     cls = parse_class_spec(cfg.class_spec)
     results = checks.run_checks(cls, cfg.tol)

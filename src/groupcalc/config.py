@@ -16,6 +16,9 @@ from .errors import require_finite, require_positive
 # the backend names calculus.integrate and spectral.solve_eigen dispatch on
 QUAD_BACKENDS = ("simpson", "gauss16")
 EIGEN_BACKENDS = ("sturm", "ql")
+# the coordinate of a spectral grid: plain x, or the deformed u = G^-1(x)
+SPACE_X = "x"
+SPACE_G = "g"
 _CHOICES = {"quad_backend": QUAD_BACKENDS, "eigen_backend": EIGEN_BACKENDS}
 
 

@@ -70,6 +70,8 @@ def overflow_text(exc: OverflowError) -> str:
 # (exception type, exit code, label); the first row whose type matches wins.
 # An OverflowError is a float that left the double range (a libm range
 # error, or ``**`` past 1e308) on an input too large for the class.
+# A MemoryError is an allocation the machine cannot hold, such as the dense
+# eigenvectors of a ``ql`` solve on a very large grid.
 # A ValueError that is none of the typed errors comes from a library check
 # (a malformed spec, an unknown name) and is reported here, once.
 _EXIT_TABLE = (
@@ -79,6 +81,7 @@ _EXIT_TABLE = (
     (ConvergenceError, 4, "convergence failure"),
     (ToleranceNotMet, 4, "convergence failure"),
     (OSError, 5, "i/o error"),
+    (MemoryError, 6, "out of memory"),
     (ValueError, 3, "error"),
 )
 

@@ -30,6 +30,10 @@ element that has converged or failed is frozen, and an element that failed
 raises the scalar's error after the loop.  An array with an element outside
 the domain raises the scalar's DomainError for the first such element,
 before any other error.
+
+This module imports no numpy: its annotations are strings, and every array
+form looks ``_Array`` up on :mod:`groupcalc._libm` when it is called, so
+numpy loads at the first array call, not with the classes.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ._libm import _Array, _Scalar
+from . import _libm
+from ._libm import _Scalar
 from .config import DEFAULT_TOLERANCES, Spec, Tolerances
 from .errors import ConvergenceError, DomainError
 
@@ -49,7 +52,12 @@ _INF = math.inf
 
 def _over_array(name):
     """The array form of method ``name``: its formula run over _Array."""
-    return lambda self, *args: _Array.run(getattr(self, name), *args)
+    return lambda self, *args: _libm._Array.run(getattr(self, name), *args)
+
+
+def _run_array(f, *args):
+    """f(*args) over _Array: the array form of a module-level formula."""
+    return _libm._Array.run(f, *args)
 
 
 class GroupClass:
@@ -123,19 +131,19 @@ class GroupClass:
     # their one formula over _Array instead (see _OneFormula).
 
     def g_array(self, t: np.ndarray) -> np.ndarray:
-        return _Array.each(self.g, t)
+        return _libm._Array.each(self.g, t)
 
     def g_inv_array(self, s: np.ndarray) -> np.ndarray:
-        return _Array.each(self.g_inv, s)
+        return _libm._Array.each(self.g_inv, s)
 
     def g_prime_array(self, t: np.ndarray) -> np.ndarray:
-        return _Array.each(self.g_prime, t)
+        return _libm._Array.each(self.g_prime, t)
 
     def g_second_array(self, t: np.ndarray) -> np.ndarray:
-        return _Array.each(self.g_second, t)
+        return _libm._Array.each(self.g_second, t)
 
     def g_third_array(self, t: np.ndarray) -> np.ndarray:
-        return _Array.each(self.g_third, t)
+        return _libm._Array.each(self.g_third, t)
 
     def deformation_factor_array(
         self, x: np.ndarray, u: np.ndarray | None = None
@@ -153,7 +161,7 @@ class GroupClass:
         if u is None:
             u = self.g_inv_array(x)
         g1, g2, g3 = self.g_prime_array(u), self.g_second_array(u), self.g_third_array(u)
-        return _Array.run(_derivs, g1, g2, g3)
+        return _libm._Array.run(_derivs, g1, g2, g3)
 
     def __repr__(self):
         return f"<GroupClass {self.spec_string()}>"
@@ -180,7 +188,7 @@ class _ClosedInverse(_OneFormula):
     """A built-in class whose A is a formula over ``_m`` too."""
 
     def deformation_factor_array(self, x, u=None):
-        return _Array.run(self.deformation_factor, x)
+        return _libm._Array.run(self.deformation_factor, x)
 
 
 @dataclass(frozen=True, repr=False)
@@ -541,7 +549,7 @@ def exp_g(cls: GroupClass, x: float, _m=_Scalar) -> float:
     return _m.where(edge, 0.0, _m.exp(_m.form(cls, "g_inv")(inside)))
 
 
-log_g_array, exp_g_array = (functools.partial(_Array.run, f) for f in (log_g, exp_g))
+log_g_array, exp_g_array = (functools.partial(_run_array, f) for f in (log_g, exp_g))
 
 
 def cos_g(cls: GroupClass, x: float) -> float:

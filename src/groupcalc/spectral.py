@@ -54,12 +54,9 @@ import numpy as np
 
 from ._lapack import eigh_tridiagonal  # looked up at each call, so it can be replaced
 from ._spline import CubicSpline
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, SPACE_G, SPACE_X, Tolerances
 from .errors import ConvergenceError, DomainError, kinetic_coefficient, require_positive
 from .groups import GroupClass
-
-SPACE_X = "x"
-SPACE_G = "g"
 
 #: most nodes a grid may have; checked before anything is allocated
 MAX_GRID_POINTS = 1_000_000

@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, file outputs, configuration."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupcalc
+from groupcalc import spectral
 from groupcalc.cli import main
 
 
@@ -350,3 +355,34 @@ def test_box_edge_with_exponent_as_next_argument(tmp_path, capsys):
     assert code == 0, err
     rows = (out / "spectrum_state_1.csv").read_text().splitlines()
     assert rows[1].startswith("-10,") and rows[-1].startswith("10,")
+
+
+def test_out_of_memory_exit_6(tmp_path, capsys, monkeypatch):
+    """An eigensolve that cannot allocate its arrays ends in the typed exit,
+    not a traceback.  The stand-in raises as numpy does for a dense N x N."""
+    text = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type float64"
+
+    def no_memory(d, e, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", no_memory)
+    out = tmp_path / "out"
+    argv = ["solve", "--potential", "well:L=1", "--N", "51", "--k", "2",
+            "--tol", "eigen_backend=ql", "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout, err) == (6, "", f"out of memory: {text}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--class", "abe:a=1,b=-1", "expG(1) (+) 2"],
+    ["eval", "1 (+"],
+    ["eval", "--class", "tsallis:q=0.5", "logG(-1)"],
+], ids=["value", "parse-error", "domain-error"])
+def test_python_m_groupcalc_runs_the_cli(capsys, argv):
+    code, out, err = run(argv, capsys)
+    src = Path(groupcalc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "groupcalc", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
